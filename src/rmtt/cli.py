@@ -38,7 +38,7 @@ from .models import (
     model_to_json,
 )
 from .rfib import Inconclusive, Unclassifiable, rep_map_classifier, is_univalent
-from .structures import structure_criteria
+from .structures import NotUnivalent, structure_criteria
 
 OK, FAIL, MALFORMED, INCONCLUSIVE = 0, 1, 2, 3
 
@@ -150,6 +150,8 @@ def cmd_structures(run, args):
     cls = rep_map_classifier(base)
     try:
         rep = structure_criteria(cls.generic, cls.witness, budget=args.iso_budget)
+    except NotUnivalent as e:
+        return run.finish(MALFORMED, {"error": str(e)})
     except Inconclusive as e:
         return run.finish(INCONCLUSIVE, {"error": str(e)})
     result = {

@@ -96,13 +96,16 @@ def random_preorder(rng: random.Random, n_objects: int, max_arrows=8) -> FiniteC
     for (a, b) in pairs:
         if rng.random() < 0.4 and (b, a) not in rel:
             rel.add((a, b))
-    # transitive closure
+    # transitive closure; a cycle through distinct objects has no
+    # antisymmetric closure, so the caller draws again
     changed = True
     while changed:
         changed = False
         for (a, b) in list(rel):
             for (c, d) in list(rel):
-                if b == c and (a, d) not in rel and (d, a) not in rel:
+                if b == c and (a, d) not in rel:
+                    if (d, a) in rel:
+                        return None
                     rel.add((a, d))
                     changed = True
     if len(rel) > max_arrows:

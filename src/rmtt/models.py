@@ -688,6 +688,7 @@ def internal_language(model: ModelData, depth, type_size=5, subst_size=4) -> The
     skipped = 0
     for i, src in enumerate(ctxs):
         for j, tgt in enumerate(ctxs):
+            tgt_set = set(values[j])
             for sub in enumerate_substitutions(sig, src, tgt, subst_size):
                 try:
                     table = {}
@@ -695,7 +696,7 @@ def internal_language(model: ModelData, depth, type_size=5, subst_size=4) -> The
                         out = ()
                         for k, t in enumerate(sub):
                             out = (out, eval_term(model, src, t, model.terminal, env))
-                        if out not in set(values[j]):
+                        if out not in tgt_set:
                             raise ModelError("substitution image escapes the enumerated fiber")
                         table[env] = out
                 except ModelBudget:
@@ -848,7 +849,9 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 for t in enumerate_terms(sig, ctxs[i], want, term_size):
                     elems.append((te, t))
             fibers[c] = elems
-        # close fibers under the substitution action
+        # close fibers under the substitution action; `members` mirrors
+        # each fiber list as a set
+        members = {c: set(elems) for c, elems in fibers.items()}
         changed = True
         guard = 0
         while changed:
@@ -861,8 +864,9 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 for (te, t) in list(fibers[obj_ids[j]]):
                     te2 = ctx_act(model, d.telescope, aid, te) if d.telescope else ()
                     t2 = normalize(sig, instantiate_many(t, sub))
-                    if (te2, t2) not in fibers[obj_ids[i]]:
+                    if (te2, t2) not in members[obj_ids[i]]:
                         fibers[obj_ids[i]].append((te2, t2))
+                        members[obj_ids[i]].add((te2, t2))
                         changed = True
         fibers = {c: tuple(sorted(fibers[c], key=lambda p: repr(p))) for c in base.objects}
         action = {}
@@ -881,6 +885,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         witness = None
         if d.is_rep_sort:
             data = {}
+            fiber_sets = {c: set(fibers[c]) for c in base.objects}
             for c in base.objects:
                 i = index_of[c]
                 for te in tele_obj.fibers[c]:
@@ -898,7 +903,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                         continue
                     te_j = ctx_act(model, d.telescope, proj_aid, te) if d.telescope else ()
                     gen = (te_j, gen_term)
-                    if gen not in set(fibers[obj_ids[j]]):
+                    if gen not in fiber_sets[obj_ids[j]]:
                         continue
                     data[(c, te)] = (obj_ids[j], proj_aid, gen)
             witness = ComprehensionWitness(family, data)

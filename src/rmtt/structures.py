@@ -49,6 +49,10 @@ class ShapeMismatch(RfibError):
     """Candidate maps are typed against the wrong objects."""
 
 
+class NotUnivalent(ValueError):
+    """Structure criteria are stated for univalent maps only."""
+
+
 @dataclass
 class TypeStructure:
     kind: str
@@ -446,9 +450,13 @@ def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("U
         w = is_representable_map(typeof)
         if w is None:
             raise NotRepresentable("criteria are stated for representable maps")
-    uni = is_univalent(typeof, w)
+    uni = is_univalent(typeof, w, budget=budget)
     if not uni.ok:
-        raise ValueError("structure criteria require a univalent map")
+        c, y1, y2, _ = uni.collision
+        raise NotUnivalent(
+            f"structure criteria require a univalent map: {y1!r} and {y2!r} "
+            f"at {c!r} classify isomorphic maps"
+        )
     report = StructureReport(univalent=True)
     for kind in kinds:
         closure = _CLOSURES[kind](typeof, w, budget)

@@ -8,7 +8,7 @@ import time
 
 from rmtt import acceptance
 
-LIMITS_S = {1: 60, 2: 60, 4: 120, 5: 120, 9: 300}
+LIMITS_S = {1: 60, 2: 60, 4: 120, 5: 120, 6: 15, 9: 300}
 
 
 def _run(num, fn, **kw):

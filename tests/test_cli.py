@@ -105,6 +105,20 @@ def test_corpus_deterministic(tmp_path):
         assert (d2 / f.name).read_bytes() == f.read_bytes()
 
 
+def test_structures_rejects_non_univalent_base(tmp_path):
+    from rmtt.corpus import two_element_group
+
+    base = tmp_path / "z2.json"
+    base.write_text(json.dumps(two_element_group().to_json()))
+    out = tmp_path / "r.json"
+    proc = run_cli("structures", str(base), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert "univalent" in rep["result"]["error"]
+
+
 def test_suite_subset():
     proc = run_cli("suite", "--only", "3")
     assert proc.returncode == 0

@@ -19,6 +19,13 @@ def test_bases_validate_and_pin_required_members():
         assert len(base.objects) <= 3 and len(base.arrow_ids) <= 8
 
 
+def test_every_seed_draws_valid_bases():
+    # a relation whose closure has a cycle is redrawn, not returned
+    for seed in range(200):
+        for name, base in corpus_bases(seed):
+            assert validate_category(base).ok, (seed, name)
+
+
 def test_seed_reproducibility():
     a = json.dumps(corpus_generate(0), sort_keys=True)
     b = json.dumps(corpus_generate(0), sort_keys=True)

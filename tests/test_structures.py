@@ -10,6 +10,7 @@ from rmtt.rfib import (
     yoneda,
 )
 from rmtt.structures import (
+    NotUnivalent,
     ShapeMismatch,
     TypeStructure,
     check_left_exact_universe,
@@ -90,8 +91,23 @@ def test_criteria_reject_non_univalent(d1):
     y1 = yoneda(d1, "1")
     C, _, _ = coproduct_psh(y1, y1)
     f = identity_map(C)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotUnivalent):
         structure_criteria(f, is_representable_map(f))
+
+
+def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch):
+    import rmtt.structures as structures
+
+    budgets = []
+    real = structures.is_univalent
+
+    def spy(f, wf=None, budget=200000):
+        budgets.append(budget)
+        return real(f, wf, budget=budget)
+
+    monkeypatch.setattr(structures, "is_univalent", spy)
+    structure_criteria(d1_cls.generic, d1_cls.witness, kinds=("Unit",), budget=1234)
+    assert budgets == [1234]
 
 
 def test_uniqueness_of_unit(d1_cls):
