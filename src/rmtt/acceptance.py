@@ -338,10 +338,7 @@ def _model_corpus(sig_name, seed=0):
     sig = load_signature(sig_name)
     out = []
     for base in (terminal_category(), delta1()):
-        try:
-            out.append(classifier_model(sig, base))
-        except Exception:
-            continue
+        out.append(classifier_model(sig, base))
     return sig, out
 
 
@@ -361,6 +358,14 @@ def criterion_7(seed=0) -> dict:
         classifier_model(sig, span_category()),  # not democratic
         classifier_model(sig, delta1()),
     ]
+
+    def key(c):
+        return (
+            tuple(sorted(c.functor.object_map.items())),
+            tuple(sorted((n, o, str(x), str(y)) for n in c.components
+                         for o in c.components[n] for x, y in c.components[n][o].items())),
+        )
+
     cases = 0
     for M in democratic_sources:
         if not is_democratic(M):
@@ -372,18 +377,8 @@ def criterion_7(seed=0) -> dict:
             into_heart = enumerate_model_morphisms(sig, M, inc.source)
             into_full = enumerate_model_morphisms(sig, M, N)
             composed = [compose_model_morphisms(m, inc) for m in into_heart]
-            keys = {
-                (tuple(sorted(c.functor.object_map.items())),
-                 tuple(sorted((n, o, str(x), str(y)) for n in c.components
-                        for o in c.components[n] for x, y in c.components[n][o].items())))
-                for c in composed
-            }
-            full_keys = {
-                (tuple(sorted(c.functor.object_map.items())),
-                 tuple(sorted((n, o, str(x), str(y)) for n in c.components
-                        for o in c.components[n] for x, y in c.components[n][o].items())))
-                for c in into_full
-            }
+            keys = {key(c) for c in composed}
+            full_keys = {key(c) for c in into_full}
             if len(keys) != len(into_heart) or keys != full_keys:
                 failures.append(("bijection", len(into_heart), len(into_full)))
     return {"ok": not failures, "detail": {"cases": cases, "failures": failures}}

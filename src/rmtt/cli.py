@@ -37,7 +37,7 @@ from .models import (
     model_from_json,
     model_to_json,
 )
-from .rfib import Inconclusive, Unclassifiable, rep_map_classifier, is_univalent
+from .rfib import Inconclusive, RfibError, Unclassifiable, rep_map_classifier, is_univalent
 from .structures import NotUnivalent, structure_criteria
 
 OK, FAIL, MALFORMED, INCONCLUSIVE = 0, 1, 2, 3
@@ -163,6 +163,10 @@ def cmd_structures(run, args):
     return run.finish(OK if ok else FAIL, result)
 
 
+# what reading a model document can raise on malformed input
+BAD_MODEL = (OSError, KernelError, RfibError, ValueError, KeyError, json.JSONDecodeError)
+
+
 def _load_model(run, path):
     doc = json.loads(pathlib.Path(path).read_text())
     model = model_from_json(doc)
@@ -173,7 +177,7 @@ def _load_model(run, path):
 def cmd_check_model(run, args):
     try:
         model = _load_model(run, args.model)
-    except (OSError, KernelError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except BAD_MODEL as e:
         return run.finish(MALFORMED, {"error": str(e)})
     rep = check_model(model.sig, model)
     result = {"valid": rep.ok,
@@ -184,7 +188,7 @@ def cmd_check_model(run, args):
 def cmd_heart(run, args):
     try:
         model = _load_model(run, args.model)
-    except (OSError, KernelError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except BAD_MODEL as e:
         return run.finish(MALFORMED, {"error": str(e)})
     ctx = contextual_objects(model)
     h = heart(model)
@@ -201,7 +205,7 @@ def cmd_heart(run, args):
 def cmd_il(run, args):
     try:
         model = _load_model(run, args.model)
-    except (OSError, KernelError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except BAD_MODEL as e:
         return run.finish(MALFORMED, {"error": str(e)})
     try:
         theory = internal_language(model, args.depth)
@@ -313,15 +317,23 @@ def cmd_corpus(run, args):
     return run.finish(OK, {"files": sorted(docs.keys()), "dir": args.dir})
 
 
+def budget(text):
+    """A budget flag's value: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def build_parser():
     # flags are accepted both before and after the subcommand; the
     # subparser must not clobber values parsed at the top level, so the
     # defaults are filled in afterwards
     common = argparse.ArgumentParser(add_help=False)
     sup = argparse.SUPPRESS
-    common.add_argument("--depth", type=int, default=sup)
-    common.add_argument("--fuel", type=int, default=sup)
-    common.add_argument("--iso-budget", type=int, default=sup)
+    common.add_argument("--depth", type=budget, default=sup)
+    common.add_argument("--fuel", type=budget, default=sup)
+    common.add_argument("--iso-budget", type=budget, default=sup)
     common.add_argument("--seed", type=int, default=sup)
     common.add_argument("--out", default=sup, help="write the report here instead of stdout")
 

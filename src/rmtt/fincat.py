@@ -60,7 +60,6 @@ class FiniteCategory:
         self.src = {a: s for (a, s, t) in self.arrows}
         self.tgt = {a: t for (a, s, t) in self.arrows}
         self.arrow_ids = tuple(a for (a, _, _) in self.arrows)
-        self._obj_index = {o: i for i, o in enumerate(self.objects)}
         self._arr_index = {a: i for i, a in enumerate(self.arrow_ids)}
         self._hom = {}
         for (a, s, t) in self.arrows:
@@ -77,9 +76,6 @@ class FiniteCategory:
     def comp(self, f, g):
         """f after g; raises KeyError on non-composable pairs."""
         return self.compose[(f, g)]
-
-    def obj_index(self, o):
-        return self._obj_index[o]
 
     def arr_index(self, a):
         return self._arr_index[a]
@@ -244,12 +240,6 @@ class FunctorData:
     object_map: dict = field(default_factory=dict)
     arrow_map: dict = field(default_factory=dict)
 
-    def on_obj(self, o):
-        return self.object_map[o]
-
-    def on_arr(self, a):
-        return self.arrow_map[a]
-
 
 def validate_functor(src: FiniteCategory, tgt: FiniteCategory, fun: FunctorData) -> ValidationReport:
     issues = []
@@ -275,10 +265,6 @@ def validate_functor(src: FiniteCategory, tgt: FiniteCategory, fun: FunctorData)
         if tgt.compose.get((fun.arrow_map[f], fun.arrow_map[g])) != fun.arrow_map[h]:
             issues.append(Issue("law", "composition not preserved", (f, g)))
     return ValidationReport(tuple(issues))
-
-
-def identity_functor(cat: FiniteCategory) -> FunctorData:
-    return FunctorData({o: o for o in cat.objects}, {a: a for a in cat.arrow_ids})
 
 
 def full_subcategory(cat: FiniteCategory, objects) -> FiniteCategory:

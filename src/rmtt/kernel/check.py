@@ -25,8 +25,8 @@ from .terms import (
     SortApp,
     Var,
     free_vars,
-    fv_below,
     instantiate_many,
+    map_vars,
     match,
     pretty,
     shift,
@@ -305,7 +305,9 @@ class _Parser:
 class _Resolver:
     """Turns raw named syntax into de Bruijn syntax against a signature
     prefix.  In rule mode, unknown names become rule variables collected
-    in first-occurrence order."""
+    in first-occurrence order; rule variable k is emitted as a free
+    variable just outside the scope, Var(len(scope) + k), until
+    _close_rule_vars puts the rule context in binding order."""
 
     def __init__(self, sig_decls, rule_mode=False):
         self.decls = sig_decls
@@ -342,7 +344,7 @@ class _Resolver:
             if self.rule_mode:
                 if name not in self.rule_vars:
                     self.rule_vars.append(name)
-                out = ("rulevar", name)
+                out = Var(len(scope) + self.rule_vars.index(name))
                 for a in args:
                     out = App(out, self.term(a, scope))
                 return out
@@ -369,35 +371,11 @@ class _Resolver:
         raise KernelError(f"bad raw type {raw!r}")
 
 
-def _close_rule_vars(expr, rule_vars, depth=0):
-    """Replace ("rulevar", name) placeholders with de Bruijn indices:
-    the rule context binds rule_vars outermost-first."""
-    n = len(rule_vars)
-    if isinstance(expr, tuple) and len(expr) == 2 and expr[0] == "rulevar":
-        k = rule_vars.index(expr[1])
-        return Var(depth + (n - 1 - k))
-    if isinstance(expr, Var):
-        return expr
-    if isinstance(expr, Const):
-        return Const(expr.head, tuple(_close_rule_vars(a, rule_vars, depth) for a in expr.args))
-    if isinstance(expr, App):
-        return App(
-            _close_rule_vars(expr.fun, rule_vars, depth),
-            _close_rule_vars(expr.arg, rule_vars, depth),
-        )
-    if isinstance(expr, Lam):
-        return Lam(
-            _close_rule_vars(expr.dom, rule_vars, depth),
-            _close_rule_vars(expr.body, rule_vars, depth + 1),
-        )
-    if isinstance(expr, SortApp):
-        return SortApp(expr.head, tuple(_close_rule_vars(a, rule_vars, depth) for a in expr.args))
-    if isinstance(expr, PiType):
-        return PiType(
-            _close_rule_vars(expr.dom, rule_vars, depth),
-            _close_rule_vars(expr.cod, rule_vars, depth + 1),
-        )
-    raise KernelError(f"bad expression {expr!r}")
+def _close_rule_vars(expr, n):
+    """Reverse the n free rule variables left by the resolver: rule
+    variable k, free index k, gets index n-1-k, since the rule context
+    binds them outermost-first."""
+    return map_vars(expr, lambda i, k: Var(i) if i < k else Var(k + n - 1 - (i - k)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +554,9 @@ def _infer_rule_context(sig: Signature, lhs, n_vars):
                 return
             v = pattern.index - depth
             if v not in types and expected is not None:
-                if depth and fv_below(expected, depth):
+                if any(i < depth for i in free_vars(expected)):
                     return  # type mentions bound variables; cannot be hoisted
-                types[v] = shift(expected, -depth) if depth else expected
+                types[v] = shift(expected, -depth)
             return
         if isinstance(pattern, Const):
             d = sig.decls.get(pattern.head)
@@ -685,8 +663,8 @@ def parse_and_check(text: str):
                 lhs_open = res.term(raw_lhs, [])
                 rhs_open = res.term(raw_rhs, [])
                 n = len(res.rule_vars)
-                lhs = _close_rule_vars(lhs_open, res.rule_vars)
-                rhs = _close_rule_vars(rhs_open, res.rule_vars)
+                lhs = _close_rule_vars(lhs_open, n)
+                rhs = _close_rule_vars(rhs_open, n)
                 if not isinstance(lhs, Const):
                     raise TypeCheckError("rule left sides must be constant-headed")
                 rctx = _infer_rule_context(sig, lhs, n)

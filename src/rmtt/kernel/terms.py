@@ -6,6 +6,11 @@ dependent products whose domain must be an application of a
 representable sort.  Terms are variables, fully applied constants,
 framework application and framework lambda.
 
+`map_vars` is the single traversal that rebuilds an expression by its
+variables: shifting, substitution, simultaneous instantiation and the
+closing of rule variables are each one `on_var` given to it.
+`free_vars` is the matching fold that only reads them.
+
 Matching supports first-order patterns with binders: a pattern variable
 occurring under k binders matches a subject that can be unshifted by k
 (no capture), and repeated pattern variables require syntactic equality
@@ -52,72 +57,57 @@ class PiType:
     cod: object
 
 
-def is_term(x) -> bool:
-    return isinstance(x, (Var, Const, App, Lam))
+def map_vars(t, on_var, depth=0):
+    """Rebuild t, replacing each Var(i) met under k binders (counted from
+    depth) with on_var(i, k).  The one traversal that rebuilds expressions
+    by variable; shift, subst and instantiate_many are instances of it."""
+    cls = type(t)
+    if cls is Var:
+        return on_var(t.index, depth)
+    if cls is App:
+        return App(map_vars(t.fun, on_var, depth), map_vars(t.arg, on_var, depth))
+    if cls is Const or cls is SortApp:
+        if not t.args:
+            return t
+        return cls(t.head, tuple([map_vars(a, on_var, depth) for a in t.args]))
+    if cls is Lam:
+        return Lam(map_vars(t.dom, on_var, depth), map_vars(t.body, on_var, depth + 1))
+    if cls is PiType:
+        return PiType(map_vars(t.dom, on_var, depth), map_vars(t.cod, on_var, depth + 1))
+    raise TypeError(f"not an expression: {t!r}")
 
 
 def shift(t, d, cutoff=0):
     """Add d to every free variable index at or above cutoff."""
-    if isinstance(t, Var):
-        return Var(t.index + d) if t.index >= cutoff else t
-    if isinstance(t, Const):
-        return Const(t.head, tuple(shift(a, d, cutoff) for a in t.args))
-    if isinstance(t, App):
-        return App(shift(t.fun, d, cutoff), shift(t.arg, d, cutoff))
-    if isinstance(t, Lam):
-        return Lam(shift(t.dom, d, cutoff), shift(t.body, d, cutoff + 1))
-    if isinstance(t, SortApp):
-        return SortApp(t.head, tuple(shift(a, d, cutoff) for a in t.args))
-    if isinstance(t, PiType):
-        return PiType(shift(t.dom, d, cutoff), shift(t.cod, d, cutoff + 1))
-    raise TypeError(f"not an expression: {t!r}")
+    if not d:
+        return t
+    return map_vars(t, lambda i, k: Var(i + d) if i >= k else Var(i), cutoff)
 
 
 def subst(t, j, s):
     """Substitute s for Var(j), lowering the indices above j."""
-    if isinstance(t, Var):
-        if t.index == j:
-            return s
-        return Var(t.index - 1) if t.index > j else t
-    if isinstance(t, Const):
-        return Const(t.head, tuple(subst(a, j, s) for a in t.args))
-    if isinstance(t, App):
-        return App(subst(t.fun, j, s), subst(t.arg, j, s))
-    if isinstance(t, Lam):
-        return Lam(subst(t.dom, j, s), subst(t.body, j + 1, shift(s, 1)))
-    if isinstance(t, SortApp):
-        return SortApp(t.head, tuple(subst(a, j, s) for a in t.args))
-    if isinstance(t, PiType):
-        return PiType(subst(t.dom, j, s), subst(t.cod, j + 1, shift(s, 1)))
-    raise TypeError(f"not an expression: {t!r}")
+
+    def on_var(i, k):
+        if i == j + k:
+            return shift(s, k)
+        return Var(i - 1) if i > j + k else Var(i)
+
+    return map_vars(t, on_var)
 
 
 def instantiate_many(t, args):
-    """Like instantiate but substituting simultaneously: Var(n-1-k) := args[k]
-    for an expression under n = len(args) binders."""
+    """Simultaneous substitution Var(n-1-k) := args[k] for an expression
+    under n = len(args) binders."""
     n = len(args)
 
-    def go(t, depth):
-        if isinstance(t, Var):
-            i = t.index
-            if i < depth:
-                return t
-            if i < depth + n:
-                return shift(args[n - 1 - (i - depth)], depth)
-            return Var(i - n)
-        if isinstance(t, Const):
-            return Const(t.head, tuple(go(a, depth) for a in t.args))
-        if isinstance(t, App):
-            return App(go(t.fun, depth), go(t.arg, depth))
-        if isinstance(t, Lam):
-            return Lam(go(t.dom, depth), go(t.body, depth + 1))
-        if isinstance(t, SortApp):
-            return SortApp(t.head, tuple(go(a, depth) for a in t.args))
-        if isinstance(t, PiType):
-            return PiType(go(t.dom, depth), go(t.cod, depth + 1))
-        raise TypeError(f"not an expression: {t!r}")
+    def on_var(i, k):
+        if i < k:
+            return Var(i)
+        if i < k + n:
+            return shift(args[n - 1 - (i - k)], k)
+        return Var(i - n)
 
-    return go(t, 0)
+    return map_vars(t, on_var)
 
 
 def free_vars(t, depth=0, acc=None):
@@ -169,9 +159,9 @@ def match(pattern, subject, bindings, depth=0):
             return isinstance(subject, Var) and subject.index == pattern.index
         v = pattern.index - depth
         if depth:
-            if fv_below(subject, depth):
+            if any(i < depth for i in free_vars(subject)):
                 return False
-            subject = shift_down(subject, depth)
+            subject = shift(subject, -depth)
         if v in bindings:
             return bindings[v] == subject
         bindings[v] = subject
@@ -209,37 +199,6 @@ def match(pattern, subject, bindings, depth=0):
             and match(pattern.cod, subject.cod, bindings, depth + 1)
         )
     raise TypeError(f"not a pattern: {pattern!r}")
-
-
-def fv_below(t, depth):
-    """Free variable indices of t that are below depth."""
-    out = []
-
-    def go(t, d):
-        if isinstance(t, Var):
-            if t.index < depth + d and t.index >= d:
-                # free in t, index relative to t's root is t.index - d
-                if t.index - d < depth:
-                    out.append(t.index - d)
-        elif isinstance(t, (Const, SortApp)):
-            for a in t.args:
-                go(a, d)
-        elif isinstance(t, App):
-            go(t.fun, d)
-            go(t.arg, d)
-        elif isinstance(t, Lam):
-            go(t.dom, d)
-            go(t.body, d + 1)
-        elif isinstance(t, PiType):
-            go(t.dom, d)
-            go(t.cod, d + 1)
-
-    go(t, 0)
-    return out
-
-
-def shift_down(t, d):
-    return shift(t, -d)
 
 
 # -- printing ---------------------------------------------------------------

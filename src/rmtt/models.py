@@ -36,6 +36,7 @@ from .rfib import (
     RfibError,
     bang,
     is_representable,
+    require_distinct_fibers,
     terminal_psh,
 )
 from .structures import find_structure, structure_shape
@@ -241,22 +242,6 @@ def interpret_context(model: ModelData, ctx) -> Presheaf:
         t = base.tgt[a]
         action[a] = {env: ctx_act(model, ctx, a, env) for env in fibers[t]}
     return Presheaf(base, fibers, action)
-
-
-def interpret_subst(model: ModelData, src, tgt, terms, src_psh=None, tgt_psh=None) -> PshMap:
-    if src_psh is None:
-        src_psh = interpret_context(model, src)
-    if tgt_psh is None:
-        tgt_psh = interpret_context(model, tgt)
-    comps = {}
-    for c in model.base.objects:
-        comps[c] = {}
-        for env in src_psh.fibers[c]:
-            out = ()
-            for k, t in enumerate(terms):
-                out = (out, eval_term(model, src, t, c, env))
-            comps[c][env] = out
-    return PshMap(src_psh, tgt_psh, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -1453,6 +1438,7 @@ def _psh_to_doc(p: Presheaf):
 
 def _psh_from_doc(base, doc):
     fibers = {o: tuple(_dec(x) for x in doc["fibers"][str(o)]) for o in base.objects}
+    require_distinct_fibers(fibers)
     action = {
         a: {_dec(y): _dec(x) for y, x in doc["action"][str(a)]} for a in base.arrow_ids
     }

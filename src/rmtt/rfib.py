@@ -168,8 +168,18 @@ class Presheaf:
         if doc.get("base_hash") != base.content_hash():
             raise RfibError("presheaf refers to a different base (hash mismatch)")
         fibers = {o: tuple(doc["fibers"].get(str(o), ())) for o in base.objects}
+        require_distinct_fibers(fibers)
         action = {a: dict(doc["action"].get(str(a), {})) for a in base.arrow_ids}
         return Presheaf(base, fibers, action)
+
+
+def require_distinct_fibers(fibers):
+    """Raise RfibError if a fibre lists an element twice.  Serialized
+    presheaves are checked with this where they are read: violations()
+    takes a fibre as the list it is and does not look for repeats."""
+    for o, fib in fibers.items():
+        if len(set(fib)) != len(fib):
+            raise RfibError(f"fibre at {o!r} lists an element twice")
 
 
 class PshMap:
@@ -408,10 +418,6 @@ def enumerate_subpresheaves(X: Presheaf, max_size=None):
     return results
 
 
-def sub_inclusion(S: Presheaf, X: Presheaf) -> PshMap:
-    return PshMap(S, X, {o: {x: x for x in S.fibers[o]} for o in S.base.objects}, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # limits, Yoneda, representability
 # ---------------------------------------------------------------------------
@@ -469,15 +475,6 @@ def bang(X: Presheaf) -> PshMap:
 def product_psh(X: Presheaf, Y: Presheaf):
     lim, proj = psh_limit(X.base, [("l", X), ("r", Y)])
     return lim, proj["l"], proj["r"]
-
-
-def pair_map(f: PshMap, g: PshMap, prod, pl, pr) -> PshMap:
-    """Tupling <f, g> into a product built by product_psh."""
-    comps = {
-        o: {x: (f.components[o][x], g.components[o][x]) for x in f.source.fibers[o]}
-        for o in f.base.objects
-    }
-    return PshMap(f.source, prod, comps, validate=False)
 
 
 def coproduct_psh(X: Presheaf, Y: Presheaf):
@@ -674,12 +671,6 @@ class ComprehensionWitness:
                                     f"universal property fails for {y!r} at {c!r} on ({g!r},{x!r})"
                                 )
         return out
-
-
-def comprehension_pullback(f: PshMap, c, y):
-    """Pullback of f along the map classifying y in the fiber of its target
-    over c; the presheaf whose representability is comprehension."""
-    return pullback_of_maps(f, element_map(f.target, c, y))
 
 
 def is_representable_map(f: PshMap):

@@ -157,12 +157,6 @@ def _exp_over(a: PshMap, wa: ComprehensionWitness, w: PshMap):
     return pushforward(a, p_a, wa), AW, p_w
 
 
-def _exp_post(a, wa, exp_src, src_pull, src_pw, exp_tgt, tgt_pull_map):
-    """Postcomposition (A => W) -> (A => W') induced by a map W -> W' over Ty."""
-    phi = tgt_pull_map  # map between the two pullbacks over A
-    return pushforward_on_map(a, wa, None, None, phi, exp_src, exp_tgt)
-
-
 def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top: PshMap):
     """The lifting-problem comparison map for an identity square.
 
@@ -271,6 +265,17 @@ def forced_id_plus_section(compare: PshMap) -> PshMap:
 # ---------------------------------------------------------------------------
 
 
+def _commutes(typeof: PshMap, sh, bottom: PshMap, top: PshMap) -> bool:
+    """typeof . top == bottom . left on every element of the shape's domain."""
+    for o in typeof.base.objects:
+        ty, tp = typeof.components[o], top.components[o]
+        bt, lf = bottom.components[o], sh["left"].components[o]
+        for x in sh["dom"].fibers[o]:
+            if ty[tp[x]] != bt[lf[x]]:
+                return False
+    return True
+
+
 def check_structure(typeof: PshMap, candidate: TypeStructure, w: ComprehensionWitness = None):
     """True iff the candidate square commutes and is a pullback (plus the
     section equation for the intensional identity kind).  Shape errors
@@ -286,13 +291,8 @@ def check_structure(typeof: PshMap, candidate: TypeStructure, w: ComprehensionWi
     if candidate.top.source != sh["dom"] or candidate.top.target != typeof.source:
         raise ShapeMismatch(f"{kind} top edge has wrong endpoints")
     if kind == "IdPlus":
-        base = typeof.base
-        for o in base.objects:
-            for x in sh["dom"].fibers[o]:
-                lhs = typeof.components[o][candidate.top.components[o][x]]
-                rhs = candidate.bottom.components[o][sh["left"].components[o][x]]
-                if lhs != rhs:
-                    return False, "square does not commute"
+        if not _commutes(typeof, sh, candidate.bottom, candidate.top):
+            return False, "square does not commute"
         if candidate.elim is None:
             return False, "missing eliminator section"
         compare, P, Q = id_plus_problem(typeof, w, candidate.bottom, candidate.top)
@@ -304,10 +304,8 @@ def check_structure(typeof: PshMap, candidate: TypeStructure, w: ComprehensionWi
     ok = is_pullback_square(candidate.top, sh["left"], typeof, candidate.bottom)
     if not ok:
         # distinguish commutation failure for reporting
-        for o in typeof.base.objects:
-            for x in sh["dom"].fibers[o]:
-                if typeof.components[o][candidate.top.components[o][x]] != candidate.bottom.components[o][sh["left"].components[o][x]]:
-                    return False, "square does not commute"
+        if not _commutes(typeof, sh, candidate.bottom, candidate.top):
+            return False, "square does not commute"
         return False, "square is not a pullback"
     return True, "ok"
 
@@ -326,13 +324,7 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
         for top in enumerate_maps(sh["dom"], typeof.source, budget=budget):
             cand = TypeStructure(kind, bottom, top)
             if kind == "IdPlus":
-                commutes = all(
-                    typeof.components[o][top.components[o][x]]
-                    == bottom.components[o][sh["left"].components[o][x]]
-                    for o in typeof.base.objects
-                    for x in sh["dom"].fibers[o]
-                )
-                if not commutes:
+                if not _commutes(typeof, sh, bottom, top):
                     continue
                 compare, P, Q = id_plus_problem(typeof, w, bottom, top)
 

@@ -139,3 +139,59 @@ def test_golden_reports(golden, args, tmp_path):
     proc = run_cli(*args, "--out", str(out))
     assert proc.returncode == 0
     assert out.read_text() == (GOLDEN / golden).read_text()
+
+
+def _classifier_model_doc():
+    from rmtt.fincat import delta1
+    from rmtt.kernel import load_signature
+    from rmtt.models import classifier_model, model_to_json
+
+    return model_to_json(classifier_model(load_signature("tthg"), delta1()))
+
+
+def _drop_action_entry(doc):
+    total = doc["sorts"]["El"]["total"]
+    arrow = next(a for a, rows in total["action"].items() if rows)
+    total["action"][arrow].pop()
+
+
+def _repeat_fibre_element(doc):
+    total = doc["sorts"]["El"]["total"]
+    fibre = next(f for f in total["fibers"].values() if f)
+    fibre.append(fibre[0])
+
+
+@pytest.mark.parametrize("mutate", [_drop_action_entry, _repeat_fibre_element])
+def test_check_model_rejects_malformed_presheaf(mutate, tmp_path):
+    doc = _classifier_model_doc()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(doc))
+    assert run_cli("check-model", str(good)).returncode == 0
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    proc = run_cli("check-model", str(bad), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert "presheaf" in rep["result"]["error"] or "fibre" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("initial-model", "itth", "--depth", "-1"),
+        ("--fuel", "-5", "normalize", "itth", "tt"),
+        ("classifier", str(GOLDEN / "corpus" / "base_delta1.json"), "--iso-budget", "-1"),
+        ("il", "{model}", "--depth", "-3"),
+    ],
+)
+def test_negative_budgets_rejected(args, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_classifier_model_doc()))
+    proc = run_cli(*(a.format(model=model) for a in args))
+    assert proc.returncode == 2
+    assert "must not be negative" in proc.stderr
+    assert "Traceback" not in proc.stderr

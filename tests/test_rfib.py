@@ -237,3 +237,6 @@ def test_presheaf_json_round_trip(d1):
     assert find_iso(X, again) is not None
     with pytest.raises(RfibError):
         Presheaf.from_json(terminal_category(), doc)
+    repeated = dict(doc, fibers={o: fib + fib[:1] for o, fib in doc["fibers"].items()})
+    with pytest.raises(RfibError, match="twice"):
+        Presheaf.from_json(d1, repeated)
