@@ -113,6 +113,15 @@ class FiniteCategory:
 
     @staticmethod
     def from_json(doc: dict) -> "FiniteCategory":
+        """Raises ValueError when doc does not have the shape to_json writes."""
+        doc = doc if isinstance(doc, dict) else {}  # then every field is bad
+        require_shape("base", {
+            "objects": names(doc.get("objects")),
+            "arrows": isinstance(doc.get("arrows"), list)
+            and all(isinstance(a, dict) and names([a.get(k) for k in ("id", "src", "tgt")]) for a in doc["arrows"]),
+            "identities": table(doc.get("identities"), lambda i: isinstance(i, str)),
+            "compose": isinstance(doc.get("compose"), list) and all(names(r) and len(r) == 3 for r in doc["compose"]),
+        })
         return FiniteCategory(
             doc["objects"],
             [(a["id"], a["src"], a["tgt"]) for a in doc["arrows"]],
@@ -123,6 +132,23 @@ class FiniteCategory:
     def content_hash(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def names(x) -> bool:
+    """Is x a JSON list of strings?"""
+    return isinstance(x, list) and all(isinstance(v, str) for v in x)
+
+
+def table(x, ok) -> bool:
+    """Is x a JSON object whose values all pass ok?"""
+    return isinstance(x, dict) and all(ok(v) for v in x.values())
+
+
+def require_shape(what, checks):
+    """Raise ValueError naming every field of a `what` document whose check failed."""
+    bad = [field for field, ok in checks.items() if not ok]
+    if bad:
+        raise ValueError(f"malformed {what} document: bad {', '.join(bad)}")
 
 
 def validate_category(cat: FiniteCategory) -> ValidationReport:

@@ -27,6 +27,8 @@ from .fincat import (
     FunctorData,
     find_terminal,
     full_subcategory,
+    require_shape,
+    table,
     validate_functor,
 )
 from .rfib import (
@@ -1486,12 +1488,51 @@ def model_to_json(model: ModelData) -> dict:
     return doc
 
 
+def _rows(n):
+    """A check for a JSON list of n-element lists."""
+    return lambda x: isinstance(x, list) and all(isinstance(r, list) and len(r) == n for r in x)
+
+
+def _psh_doc_ok(doc) -> bool:
+    return (
+        isinstance(doc, dict)
+        and table(doc.get("fibers"), lambda fibre: isinstance(fibre, list))
+        and table(doc.get("action"), _rows(2))
+    )
+
+
+def _sort_doc_ok(sdoc, base) -> bool:
+    """Also: witness rows name objects and arrows of the base."""
+    return (
+        isinstance(sdoc, dict)
+        and isinstance(sdoc.get("tele"), list)
+        and _psh_doc_ok(sdoc.get("total"))
+        and _psh_doc_ok(sdoc.get("tele_obj"))
+        and table(sdoc.get("family"), _rows(2))
+        and (sdoc.get("witness", "missing") is None or _rows(5)(sdoc.get("witness")) and all(
+            c in base.objects and obj in base.objects and proj in base.arrow_ids
+            for c, _, obj, proj, _ in sdoc["witness"]
+        ))
+    )
+
+
 def model_from_json(doc: dict) -> ModelData:
-    from .fincat import FiniteCategory
+    """Raises ValueError when doc does not have the shape model_to_json
+    writes (element ids and kernel expressions are decoded as found)."""
     from .kernel.check import parse_signature
     from .kernel.terms import expr_from_data
 
-    base = FiniteCategory.from_json(doc["base"])
+    doc = doc if isinstance(doc, dict) else {}  # then every field is bad
+    base = FiniteCategory.from_json(doc.get("base"))
+    depth = doc.get("depth", "missing")
+    require_shape("model", {
+        "depth": depth is None or (type(depth) is int and depth >= 0),
+        "terminal": doc.get("terminal") in base.objects,
+        "signature": isinstance(doc.get("signature"), str),
+        "exposed_signature": isinstance(doc.get("exposed_signature", ""), str),
+        "sorts": table(doc.get("sorts"), lambda sdoc: _sort_doc_ok(sdoc, base)),
+        "terms": table(doc.get("terms"), _rows(3)),
+    })
     sig = parse_signature(doc["signature"])
     exposed = parse_signature(doc["exposed_signature"]) if "exposed_signature" in doc else None
     model = ModelData(base, doc["terminal"], sig, doc["depth"], exposed)

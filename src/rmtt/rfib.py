@@ -678,52 +678,33 @@ def is_representable_map(f: PshMap):
 
     The witness is chosen deterministically: representing data is
     searched in (object order, arrow order, fiber order)."""
-    base = f.base
-    E, B = f.source, f.target
     data = {}
-    for c in base.objects:
-        for y in B.fibers[c]:
-            found = None
-            for obj in base.objects:
-                for proj in base.hom(obj, c):
-                    over = B.action[proj][y]
-                    for gen in E.fibers[obj]:
-                        if f.components[obj][gen] != over:
-                            continue
-                        if _is_terminal_pair(f, c, y, obj, proj, gen):
-                            found = (obj, proj, gen)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if not found:
+    for c in f.base.objects:
+        for y in f.target.fibers[c]:
+            data[(c, y)] = _comprehension(f, c, y)
+            if data[(c, y)] is None:
                 return None
-            data[(c, y)] = found
     return ComprehensionWitness(f, data)
 
 
 def unrepresentable_element(f: PshMap):
     """First (c, y) in the target of f with no comprehension, or None."""
-    base = f.base
-    B = f.target
-    for c in base.objects:
-        for y in B.fibers[c]:
-            hit = False
-            for obj in base.objects:
-                for proj in base.hom(obj, c):
-                    for gen in f.source.fibers[obj]:
-                        if f.components[obj][gen] != B.action[proj][y]:
-                            continue
-                        if _is_terminal_pair(f, c, y, obj, proj, gen):
-                            hit = True
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if not hit:
+    for c in f.base.objects:
+        for y in f.target.fibers[c]:
+            if _comprehension(f, c, y) is None:
                 return (c, y)
+    return None
+
+
+def _comprehension(f, c, y):
+    """The first terminal (obj, proj, gen) over y at c, or None."""
+    base = f.base
+    for obj in base.objects:
+        for proj in base.hom(obj, c):
+            over = f.target.action[proj][y]
+            for gen in f.source.fibers[obj]:
+                if f.components[obj][gen] == over and _is_terminal_pair(f, c, y, obj, proj, gen):
+                    return (obj, proj, gen)
     return None
 
 
@@ -1149,31 +1130,38 @@ def arrows_iso_over(base: FiniteCategory, a, b) -> bool:
     return False
 
 
-def classify(f: PshMap, cls: ClassifierData, wf: ComprehensionWitness = None, budget=500000) -> PshMap:
-    """A map into the classifier whose pullback of the generic map is
-    isomorphic to f over its target.
+def classify(f: PshMap, cls, wf: ComprehensionWitness = None, budget=500000) -> PshMap:
+    """A map chi : F -> Ty whose pullback of a representable t : El -> Ty
+    is isomorphic to f over F, the target of f.
 
-    Raises Unclassifiable when some comprehension projection is not
-    pullback-stable in the base (so no classifying element exists)."""
+    `cls` is t with its witness wt, as a pair (t, wt) or as ClassifierData
+    (its generic map).  By Yoneda the pullbacks of f along x and of t
+    along T are the projections wf.proj(c, x) and wt.proj(c, T), so chi
+    may send x only to a T whose projection is isomorphic over c to that
+    of x; find_iso_over decides each such chi.  Raises Unclassifiable when
+    none passes or some x has no such T."""
+    if isinstance(cls, ClassifierData):
+        cls = (cls.generic, cls.witness)
+    t, wt = cls
     if wf is None:
         wf = is_representable_map(f)
         if wf is None:
             raise NotRepresentable("only representable maps are classified")
-    base = cls.base
-    F = f.target
-    stable = {c: set(cls.omega.fibers[c]) for c in base.objects}
+    base = f.base
+    F, Ty = f.target, t.target
     cand = {}
     for c in base.objects:
         for x in F.fibers[c]:
             proj = wf.proj(c, x)
-            if proj not in stable[c]:
+            cand[(c, x)] = [T for T in Ty.fibers[c] if arrows_iso_over(base, proj, wt.proj(c, T))]
+            if not cand[(c, x)]:
                 raise Unclassifiable(
-                    f"comprehension projection {proj!r} of {x!r} at {c!r} is not pullback-stable"
+                    f"comprehension projection {proj!r} of {x!r} at {c!r} is isomorphic to "
+                    "no projection of the classifying map"
                 )
-            cand[(c, x)] = [a for a in cls.omega.fibers[c] if arrows_iso_over(base, proj, a)]
 
-    for chi in enumerate_maps(F, cls.omega, candidates=lambda o, x: cand[(o, x)], budget=budget):
-        P, top, left = pullback_of_maps(cls.generic, chi)
+    for chi in enumerate_maps(F, Ty, candidates=lambda o, x: cand[(o, x)], budget=budget):
+        P, top, left = pullback_of_maps(t, chi)
         if find_iso_over(left, f, budget=budget) is not None:
             return chi
     raise Unclassifiable("no classifying map reproduces the given map up to isomorphism")
@@ -1189,6 +1177,19 @@ def _encode_map(phi: PshMap):
         (str(o), str(x), str(phi.components[o][x]))
         for o in phi.base.objects
         for x in phi.source.fibers[o]
+    )
+
+
+def _pullback_along_element(f: PshMap, c, y) -> PshMap:
+    """The pullback of f along the element y of its target over c, as a
+    map to y(c)."""
+    base = f.base
+    P, _, _ = pullback_of_maps(f, element_map(f.target, c, y))
+    return PshMap(
+        P,
+        yoneda(base, c),
+        {o: {(x, g): g for (x, g) in P.fibers[o]} for o in base.objects},
+        validate=False,
     )
 
 
@@ -1212,14 +1213,7 @@ def equiv_presheaf(f: PshMap, wf: ComprehensionWitness = None):
 
     def pull(c, y):
         if (c, y) not in pulls:
-            P, _, q = pullback_of_maps(f, element_map(B, c, y))
-            toY = PshMap(
-                P,
-                yoneda(base, c),
-                {o: {(x, g): g for (x, g) in P.fibers[o]} for o in base.objects},
-                validate=False,
-            )
-            pulls[(c, y)] = (P, toY)
+            pulls[(c, y)] = _pullback_along_element(f, c, y)
         return pulls[(c, y)]
 
     fibers = {}
@@ -1227,8 +1221,7 @@ def equiv_presheaf(f: PshMap, wf: ComprehensionWitness = None):
     for c in base.objects:
         elems = []
         for (y1, y2) in BB.fibers[c]:
-            _, q1 = pull(c, y1)
-            _, q2 = pull(c, y2)
+            q1, q2 = pull(c, y1), pull(c, y2)
             for phi in enumerate_maps_over(q1, q2, bijective=True):
                 inv = phi.inverse()
                 code = ((y1, y2), _encode_map(phi), _encode_map(inv), _encode_map(inv))
@@ -1245,14 +1238,14 @@ def equiv_presheaf(f: PshMap, wf: ComprehensionWitness = None):
             (y1, y2) = code[0]
             c0, _, _, phi = isos[code]
             z1, z2 = B.action[u][y1], B.action[u][y2]
-            P1d, _ = pull(d, z1)
+            P1d = pull(d, z1).source
             comps = {}
             for o in base.objects:
                 comps[o] = {}
                 for (x, g) in P1d.fibers[o]:
                     x2, _ = phi.components[o][(x, base.comp(u, g))]
                     comps[o][(x, g)] = (x2, g)
-            P2d, _ = pull(d, z2)
+            P2d = pull(d, z2).source
             phi2 = PshMap(P1d, P2d, comps, validate=False)
             inv2 = phi2.inverse()
             table[code] = ((z1, z2), _encode_map(phi2), _encode_map(inv2), _encode_map(inv2))
@@ -1277,7 +1270,13 @@ class UnivalenceResult:
 def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=200000) -> UnivalenceResult:
     """Is classification by f injective?  For every object c and distinct
     elements y1, y2 of the target fiber, the pullbacks of f along them
-    must not be isomorphic over y(c)."""
+    must not be isomorphic over y(c).
+
+    By Yoneda those pullbacks are isomorphic exactly when the projections
+    wf.proj(c, y1) and wf.proj(c, y2) are isomorphic over c, so each pair
+    is decided in the base, with no search.  A colliding pair is
+    certified by an isomorphism of its two pullbacks, found by
+    find_iso_over within `budget`."""
     if wf is None:
         wf = is_representable_map(f)
         if wf is None:
@@ -1288,19 +1287,16 @@ def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=200000) -> U
     for c in base.objects:
         checked = []
         ys = B.fibers[c]
-        qs = {}
-        for y in ys:
-            P, _, _ = pullback_of_maps(f, element_map(B, c, y))
-            qs[y] = PshMap(
-                P,
-                yoneda(base, c),
-                {o: {(x, g): g for (x, g) in P.fibers[o]} for o in base.objects},
-                validate=False,
-            )
         for i, y1 in enumerate(ys):
             for y2 in ys[i + 1 :]:
-                iso = find_iso_over(qs[y1], qs[y2], budget=budget)
-                if iso is not None:
+                if arrows_iso_over(base, wf.proj(c, y1), wf.proj(c, y2)):
+                    q1, q2 = _pullback_along_element(f, c, y1), _pullback_along_element(f, c, y2)
+                    iso = find_iso_over(q1, q2, budget=budget)
+                    if iso is None:
+                        raise RfibError(
+                            f"comprehension witness is not lawful: {y1!r} and {y2!r} at {c!r} "
+                            "have isomorphic projections but no isomorphic pullbacks"
+                        )
                     return UnivalenceResult(False, collision=(c, y1, y2, iso.components))
                 checked.append((y1, y2))
         table[c] = checked

@@ -24,9 +24,11 @@ from .rfib import (
     NotRepresentable,
     PshMap,
     RfibError,
+    Unclassifiable,
+    arrows_iso_over,
+    classify,
     enumerate_maps,
     equalizer_of_maps,
-    find_iso_over,
     identity_map,
     is_representable_map,
     is_univalent,
@@ -78,25 +80,16 @@ class StructureReport:
 
 
 def is_pullback_square(top: PshMap, left: PshMap, right: PshMap, bottom: PshMap) -> bool:
-    """Does the square with the given edges commute and satisfy the
-    universal property?  Verified by comparing against the canonical
-    pointwise pullback of (bottom, right)."""
+    """Is the square with the given edges, which must commute, a
+    pullback?  Verified by comparing against the canonical pointwise
+    pullback of (bottom, right)."""
     A = top.source
-    if left.source != A or top.target != right.source or left.target != bottom.source:
-        return False
-    if right.target != bottom.target:
-        return False
-    for o in A.base.objects:
-        for x in A.fibers[o]:
-            if right.components[o][top.components[o][x]] != bottom.components[o][left.components[o][x]]:
-                return False
     P, pb, pr = pullback_of_maps(bottom, right)
     comps = {
         o: {x: (left.components[o][x], top.components[o][x]) for x in A.fibers[o]}
         for o in A.base.objects
     }
-    cmp_map = PshMap(A, P, comps, validate=False)
-    return cmp_map.is_iso()
+    return PshMap(A, P, comps, validate=False).is_iso()
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +161,7 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
     base = typeof.base
     El, Ty = typeof.source, typeof.target
     sh = id_shape(typeof, w)
-    I, diag = sh["cod"], sh["left"]
+    I = sh["cod"]
     if bottom.source != I or bottom.target != Ty:
         raise ShapeMismatch("identity square bottom must map the pairing object to Ty")
     if top.source != El or top.target != El:
@@ -180,8 +173,6 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
     wa = is_representable_map(a)
     if wa is None:
         raise NotRepresentable("identity family is not representable over Ty; exponential unavailable")
-    t_as_family = typeof
-    wt = w
 
     # rho : El -> A over Ty, from the commuting square
     rho = PshMap(
@@ -192,19 +183,11 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
 
     TyEl, tl, tr = product_psh(Ty, El)
     TyTy, sl, sr = product_psh(Ty, Ty)
-    m = PshMap(
-        TyEl,
-        TyTy,
-        {
-            o: {(T, e): (T, typeof.components[o][e]) for (T, e) in TyEl.fibers[o]}
-            for o in base.objects
-        },
-    )
 
     exp_A_El, pull_A_El, _ = _exp_over(a, wa, tl)
     exp_A_Ty, pull_A_Ty, _ = _exp_over(a, wa, sl)
-    exp_El_El, pull_El_El, _ = _exp_over(t_as_family, wt, tl)
-    exp_El_Ty, pull_El_Ty, _ = _exp_over(t_as_family, wt, sl)
+    exp_El_El, pull_El_El, _ = _exp_over(typeof, w, tl)
+    exp_El_Ty, pull_El_Ty, _ = _exp_over(typeof, w, sl)
 
     def post(aa, waa, expV, pullV, expW, pullW):
         phi = PshMap(
@@ -221,14 +204,14 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
         return pushforward_on_map(aa, waa, None, None, phi, expV, expW)
 
     post_A = post(a, wa, exp_A_El, pull_A_El, exp_A_Ty, pull_A_Ty)
-    post_El = post(t_as_family, wt, exp_El_El, pull_El_El, exp_El_Ty, pull_El_Ty)
+    post_El = post(typeof, w, exp_El_El, pull_El_El, exp_El_Ty, pull_El_Ty)
 
     def restrict(expA, pullAW, expEl, pullElW, W):
         comps = {}
         for c in base.objects:
             comps[c] = {}
             for (T, x) in expA.source.fibers[c]:
-                objE, projE, genE = wt.data[(c, T)]
+                objE, projE, genE = w.data[(c, T)]
                 rho_gen = rho.components[objE][genE]
                 med = wa.mediate(c, T, objE, projE, rho_gen)
                 xa, ww = x
@@ -284,29 +267,29 @@ def check_structure(typeof: PshMap, candidate: TypeStructure, w: ComprehensionWi
         w = is_representable_map(typeof)
         if w is None:
             raise NotRepresentable("structures live on representable maps")
+    return _check(typeof, w, structure_shape(typeof, w, candidate.kind), candidate)
+
+
+def _check(typeof: PshMap, w: ComprehensionWitness, sh, candidate: TypeStructure):
+    """check_structure against the shape sh of the candidate's kind."""
     kind = candidate.kind
-    sh = structure_shape(typeof, w, kind)
     if candidate.bottom.source != sh["cod"] or candidate.bottom.target != typeof.target:
         raise ShapeMismatch(f"{kind} bottom edge has wrong endpoints")
     if candidate.top.source != sh["dom"] or candidate.top.target != typeof.source:
         raise ShapeMismatch(f"{kind} top edge has wrong endpoints")
-    if kind == "IdPlus":
-        if not _commutes(typeof, sh, candidate.bottom, candidate.top):
-            return False, "square does not commute"
-        if candidate.elim is None:
-            return False, "missing eliminator section"
-        compare, P, Q = id_plus_problem(typeof, w, candidate.bottom, candidate.top)
-        if candidate.elim.source != Q or candidate.elim.target != P:
-            raise ShapeMismatch("eliminator must map lifting problems to fillers")
-        if candidate.elim.then(compare) != identity_map(Q):
-            return False, "eliminator is not a section of the comparison map"
+    if not _commutes(typeof, sh, candidate.bottom, candidate.top):
+        return False, "square does not commute"
+    if kind != "IdPlus":
+        if not is_pullback_square(candidate.top, sh["left"], typeof, candidate.bottom):
+            return False, "square is not a pullback"
         return True, "ok"
-    ok = is_pullback_square(candidate.top, sh["left"], typeof, candidate.bottom)
-    if not ok:
-        # distinguish commutation failure for reporting
-        if not _commutes(typeof, sh, candidate.bottom, candidate.top):
-            return False, "square does not commute"
-        return False, "square is not a pullback"
+    if candidate.elim is None:
+        return False, "missing eliminator section"
+    compare, P, Q = id_plus_problem(typeof, w, candidate.bottom, candidate.top)
+    if candidate.elim.source != Q or candidate.elim.target != P:
+        raise ShapeMismatch("eliminator must map lifting problems to fillers")
+    if candidate.elim.then(compare) != identity_map(Q):
+        return False, "eliminator is not a section of the comparison map"
     return True, "ok"
 
 
@@ -314,31 +297,56 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
     """First verified structure of the given kind in lexicographic
     candidate order (bottom map, then top map, then eliminator), or None
     after exhausting the finite search space.  Budget overrun raises
-    Inconclusive."""
+    Inconclusive.
+
+    Only candidates that can pass are generated, so the first structure
+    found is the one the unrestricted search would find; the full check
+    still decides each.  Every square commutes: top(y) lies over
+    bottom(left(y)).  In a pullback square left is a pullback of t, so
+    representable, and by pasting and Yoneda its projection wl.proj(c, x)
+    is isomorphic over c to the projection w.proj(c, bottom(x)) of t."""
     if w is None:
         w = is_representable_map(typeof)
         if w is None:
             raise NotRepresentable("structures live on representable maps")
+    base = typeof.base
+    El, Ty = typeof.source, typeof.target
     sh = structure_shape(typeof, w, kind)
-    for bottom in enumerate_maps(sh["cod"], typeof.target, budget=budget):
-        for top in enumerate_maps(sh["dom"], typeof.source, budget=budget):
-            cand = TypeStructure(kind, bottom, top)
+    left = sh["left"]
+    bottoms = None  # an IdPlus square need not be a pullback
+    if kind != "IdPlus":
+        wl = is_representable_map(left)
+        if wl is None:
+            return None
+        types = {
+            (c, x): [T for T in Ty.fibers[c] if arrows_iso_over(base, wl.proj(c, x), w.proj(c, T))]
+            for c in base.objects
+            for x in sh["cod"].fibers[c]
+        }
+
+        def bottoms(o, x):
+            return types[(o, x)]
+
+    for bottom in enumerate_maps(sh["cod"], Ty, candidates=bottoms, budget=budget):
+
+        def over_bottom(o, y):
+            T = bottom.components[o][left.components[o][y]]
+            return [e for e in El.fibers[o] if typeof.components[o][e] == T]
+
+        for top in enumerate_maps(sh["dom"], El, candidates=over_bottom, budget=budget):
             if kind == "IdPlus":
-                if not _commutes(typeof, sh, bottom, top):
-                    continue
                 compare, P, Q = id_plus_problem(typeof, w, bottom, top)
 
                 def preimages(o, x):
                     return [p for p in P.fibers[o] if compare.components[o][p] == x]
 
                 for elim in enumerate_maps(Q, P, candidates=preimages, budget=budget):
-                    cand2 = TypeStructure(kind, bottom, top, elim)
-                    ok, _ = check_structure(typeof, cand2, w)
-                    if ok:
-                        return cand2
+                    cand = TypeStructure(kind, bottom, top, elim)
+                    if _check(typeof, w, sh, cand)[0]:
+                        return cand
                 continue
-            ok, _ = check_structure(typeof, cand, w)
-            if ok:
+            cand = TypeStructure(kind, bottom, top)
+            if _check(typeof, w, sh, cand)[0]:
                 return cand
     return None
 
@@ -346,42 +354,6 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
 # ---------------------------------------------------------------------------
 # closure criteria at their generic instances
 # ---------------------------------------------------------------------------
-
-
-def _classified_by(typeof: PshMap, w, g: PshMap, budget=500000):
-    """Is g a pullback of typeof?  Search for a map of its target into Ty
-    whose pullback of typeof is isomorphic to g over the target."""
-    Ty = typeof.target
-    for chi in enumerate_maps(g.target, Ty, budget=budget):
-        P, p_chi_src, p_el = pullback_of_maps(chi, typeof)
-        left = PshMap(
-            P,
-            g.target,
-            {o: {(x, e): x for (x, e) in P.fibers[o]} for o in g.base.objects},
-            validate=False,
-        )
-        if find_iso_over(left, g, budget=budget) is not None:
-            return chi
-    return None
-
-
-def _unit_closure(typeof: PshMap, w, budget) -> bool:
-    """Are identity arrows pullbacks of t?  Decided at the terminal
-    identity: a global section of Ty with singleton comprehension fibers."""
-    base = typeof.base
-    Ty = typeof.target
-    one = terminal_psh(base)
-    for chi in enumerate_maps(one, Ty, budget=budget):
-        good = True
-        for c in base.objects:
-            T = chi.components[c][()]
-            fib = [e for e in typeof.source.fibers[c] if typeof.components[c][e] == T]
-            if len(fib) != 1:
-                good = False
-                break
-        if good:
-            return True
-    return False
 
 
 def _generic_two_stage(typeof: PshMap, w):
@@ -404,34 +376,19 @@ def _generic_two_stage(typeof: PshMap, w):
     return alpha, walpha, beta, wbeta
 
 
-def _sigma_closure(typeof, w, budget) -> bool:
+def _generic_instance(typeof: PshMap, w, kind: str) -> PshMap:
+    """The map whose being a pullback of t is the kind's closure property."""
+    if kind == "Unit":  # identity arrows, at the terminal identity
+        return identity_map(terminal_psh(typeof.base))
+    if kind == "Id":  # equalizers, at the two projections of El x_Ty El
+        I, p1, p2 = pullback_of_maps(typeof, typeof)
+        return equalizer_of_maps(p1, p2)[1]
     alpha, walpha, beta, wbeta = _generic_two_stage(typeof, w)
-    composite = beta.then(alpha)
-    return _classified_by(typeof, w, composite, budget) is not None
-
-
-def _id_closure(typeof, w, budget) -> bool:
-    """Closure of pullbacks of t under equalizers, at the generic
-    instance: the equalizer of the two projections of El x_Ty El."""
-    I, p1, p2 = pullback_of_maps(typeof, typeof)
-    Eq, inc = equalizer_of_maps(p1, p2)
-    return _classified_by(typeof, w, inc, budget) is not None
-
-
-def _pi_closure(typeof, w, budget) -> bool:
-    """Closure under pushforwards of classified maps along classified
-    maps, at the generic instance."""
-    alpha, walpha, beta, wbeta = _generic_two_stage(typeof, w)
-    pf = pushforward(alpha, beta, walpha)
-    return _classified_by(typeof, w, pf, budget) is not None
-
-
-_CLOSURES = {
-    "Unit": _unit_closure,
-    "Sigma": _sigma_closure,
-    "Id": _id_closure,
-    "Pi": _pi_closure,
-}
+    if kind == "Sigma":  # composites, at the generic composable pair
+        return beta.then(alpha)
+    if kind == "Pi":  # pushforwards along classified maps, at the same pair
+        return pushforward(alpha, beta, walpha)
+    raise ValueError(f"no closure criterion for structure kind {kind!r}")
 
 
 def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("Unit", "Sigma", "Id", "Pi"), budget=500000) -> StructureReport:
@@ -451,7 +408,11 @@ def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("U
         )
     report = StructureReport(univalent=True)
     for kind in kinds:
-        closure = _CLOSURES[kind](typeof, w, budget)
+        try:
+            classify(_generic_instance(typeof, w, kind), (typeof, w), budget=budget)
+            closure = True
+        except (NotRepresentable, Unclassifiable):
+            closure = False
         found = find_structure(typeof, kind, w, budget=budget)
         report.verdicts[kind] = {
             "found": found,

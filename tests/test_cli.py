@@ -195,3 +195,44 @@ def test_negative_budgets_rejected(args, tmp_path):
     assert proc.returncode == 2
     assert "must not be negative" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _expect_malformed(proc, out, what):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert rep["result"]["error"].startswith(f"malformed {what} document")
+
+
+@pytest.mark.parametrize("command", ["classifier", "structures"])
+def test_base_document_shape_checked(command, tmp_path):
+    doc = json.loads((GOLDEN / "corpus" / "base_delta1.json").read_text())
+    doc["objects"] = 5
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    _expect_malformed(run_cli(command, str(base), "--out", str(out)), out, "base")
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("sorts", []), ("depth", "x"), ("depth", -1), ("terminal", "nowhere")],
+)
+@pytest.mark.parametrize("command", ["check-model", "heart", "il"])
+def test_model_document_shape_checked(command, field, value, tmp_path):
+    doc = _classifier_model_doc()
+    doc[field] = value
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    _expect_malformed(run_cli(command, str(model), "--out", str(out)), out, "model")
+
+
+def test_model_witness_rows_name_known_ids(tmp_path):
+    doc = _classifier_model_doc()
+    doc["sorts"]["El"]["witness"][0][2] = "nowhere"
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    _expect_malformed(run_cli("heart", str(model), "--out", str(out)), out, "model")
