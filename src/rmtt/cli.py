@@ -305,7 +305,7 @@ def cmd_suite(run, args):
     only = set(int(x) for x in args.only.split(",")) if args.only else None
     res = run_all(seed=args.seed, only=only)
     summary = {
-        k: {"ok": v["ok"], "name": v["name"], "elapsed_s": v["elapsed_s"]}
+        k: {"ok": v["ok"], "name": v["name"], "elapsed_s": v["elapsed_s"], "detail": v["detail"]}
         for k, v in res.items()
         if k != "ok"
     }

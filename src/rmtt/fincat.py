@@ -86,6 +86,12 @@ class FiniteCategory:
     def is_identity(self, f):
         return self.identities.get(self.src.get(f)) == f
 
+    def inverse(self, h):
+        """The two-sided inverse of h, or None when h is not invertible."""
+        s, t = self.src[h], self.tgt[h]
+        return next((k for k in self.hom(t, s) if self.comp(h, k) == self.identities[t]
+                     and self.comp(k, h) == self.identities[s]), None)
+
     # -- equality and serialization -------------------------------------
 
     def __eq__(self, other):

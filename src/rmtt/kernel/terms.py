@@ -261,17 +261,12 @@ def expr_to_data(t):
 
 
 def expr_from_data(d):
-    tag = d[0]
-    if tag == "var":
-        return Var(d[1])
-    if tag == "const":
-        return Const(d[1], tuple(expr_from_data(a) for a in d[2]))
-    if tag == "app":
-        return App(expr_from_data(d[1]), expr_from_data(d[2]))
-    if tag == "lam":
-        return Lam(expr_from_data(d[1]), expr_from_data(d[2]))
-    if tag == "sort":
-        return SortApp(d[1], tuple(expr_from_data(a) for a in d[2]))
-    if tag == "pi":
-        return PiType(expr_from_data(d[1]), expr_from_data(d[2]))
+    """Inverse of expr_to_data; raises ValueError on anything it does not write."""
+    tag, args = (d[0], d[1:]) if isinstance(d, list) and d else (None, ())
+    if tag == "var" and len(args) == 1 and type(args[0]) is int and args[0] >= 0:
+        return Var(args[0])
+    if tag in ("const", "sort") and len(args) == 2 and isinstance(args[0], str) and isinstance(args[1], list):
+        return (Const if tag == "const" else SortApp)(args[0], tuple(expr_from_data(a) for a in args[1]))
+    if tag in ("app", "lam", "pi") and len(args) == 2:
+        return {"app": App, "lam": Lam, "pi": PiType}[tag](expr_from_data(args[0]), expr_from_data(args[1]))
     raise ValueError(f"bad expression encoding: {d!r}")

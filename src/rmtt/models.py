@@ -1038,18 +1038,14 @@ def map_value(m: ModelMorphism, ctx, ty, c, env, v):
         te_n = map_env(m, _dom_tele(M, dom), c, te)
         if siN.witness is None or (fc, te_n) not in siN.witness.data:
             raise ModelBudget("no target comprehension within depth")
-        objN, projN, genN = siN.witness.data[(fc, te_n)]
         fobj = m.functor.object_map[obj]
         h = siN.witness.mediate(fc, te_n, fobj, m.functor.arrow_map[proj], m.on(dom.head, obj, gen))
-        inverses = [
-            k for k in N.base.hom(objN, fobj)
-            if N.base.comp(h, k) == N.base.id_of(objN) and N.base.comp(k, h) == N.base.id_of(fobj)
-        ]
-        if not inverses:
+        inverse = N.base.inverse(h)
+        if inverse is None:
             raise ModelError("comparison arrow is not invertible")
         v_img = map_value(m, ctx + (dom,), ty.cod, obj, env2, v)
         env_n = map_env_at(m, ctx + (dom,), obj, env2)
-        return eval_type_act(N, ctx + (dom,), ty.cod, inverses[0], env_n, v_img)
+        return eval_type_act(N, ctx + (dom,), ty.cod, inverse, env_n, v_img)
     raise ModelError(f"cannot map a value of type {ty!r}")
 
 
@@ -1168,12 +1164,7 @@ def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
             except RfibError:
                 bc_bad.append(f"{name}: no comparison arrow at {c!r}")
                 continue
-            objN, projN, genN = siN.witness.data[(fc, te_n)]
-            inverse = [
-                k for k in N.base.hom(objN, fobj)
-                if N.base.comp(h, k) == N.base.id_of(objN) and N.base.comp(k, h) == N.base.id_of(fobj)
-            ]
-            if not inverse:
+            if N.base.inverse(h) is None:
                 bc_bad.append(f"{name}: comparison not invertible at {c!r}")
     rep.clauses.append(("beck-chevalley", not bc_bad,
                         "; ".join(bc_bad[:3]) + (f" ({bc_skipped} skipped at depth)" if bc_skipped else "")))
@@ -1211,137 +1202,112 @@ def identity_morphism(model: ModelData) -> ModelMorphism:
     return ModelMorphism(model, model, fun, comps)
 
 
+def _backtrack(k, n, fill):
+    """Fill slots k..n-1 in order and yield once per complete filling.
+    `fill(k)` is a generator that assigns each accepted value of slot k
+    in turn and yields after each, undoing its assignment when done."""
+    if k == n:
+        yield
+        return
+    for _ in fill(k):
+        yield from _backtrack(k + 1, n, fill)
+
+
 def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget=2000000):
     """All valid morphisms M -> N by guided backtracking: object images,
-    then arrow images constrained by functor laws, then sort components
-    constrained by naturality and family compatibility; candidates are
-    confirmed by the full validity check."""
+    then arrow images, then sort components drawn from the images that
+    family compatibility allows.  Each functor law and each naturality
+    square of M is compiled once per call, under whichever of its arrows
+    or component slots is assigned last, and is checked only when that
+    one is assigned.  Candidates are confirmed by the full validity
+    check.  Raises `Inconclusive` once more than `budget` candidate
+    images have been tried."""
     steps = [0]
     out = []
     baseM, baseN = M.base, N.base
     terminals_N = [o for o in baseN.objects if all(len(baseN.hom(x, o)) == 1 for x in baseN.objects)]
     objs = list(baseM.objects)
+    arrows = baseM.arrow_ids
     sorts = [d.name for d in sig.declarations() if not d.is_term]
+    omap, amap = {}, {}
+    comp = {name: {c: {} for c in objs} for name in sorts}
+    partial = ModelMorphism(M, N, FunctorData(omap, amap), comp)
+
+    # the law f.g = h under the last of f, g and h in arrow order
+    laws = [[] for _ in arrows]
+    for fg, h in baseM.compose.items():
+        laws[max(baseM.arr_index(fg[0]), baseM.arr_index(fg[1]), baseM.arr_index(h))].append(fg)
+
+    # declaration order: earlier sorts fix the telescope mapping of later ones
+    slots, slot_of = [], {}
+    for name in sorts:
+        for c in objs:
+            slot_of[name, c] = {}
+            for x in M.sorts[name].total.fibers[c]:
+                slot_of[name, c][x] = len(slots)
+                slots.append((name, c, x))
+    # naturality of a : s -> t at u over t as (slot of u, slot of a.u,
+    # index of (sort, a) in acts), under the later of the two slots;
+    # check_morphism decides a square whose two slots coincide
+    squares = [[] for _ in slots]
+    for si, name in enumerate(sorts):
+        action = M.sorts[name].total.action
+        for ai, a in enumerate(arrows):
+            below = slot_of[name, baseM.src[a]]
+            for u, i in slot_of[name, baseM.tgt[a]].items():
+                j = below[action[a][u]]
+                if i != j:
+                    squares[max(i, j)].append((i, j, si * len(arrows) + ai))
+    img = [None] * len(slots)
 
     def tick():
         steps[0] += 1
         if steps[0] > budget:
             from .rfib import Inconclusive
-            raise Inconclusive("morphism search exceeded its budget")
+            raise Inconclusive(f"morphism search exceeded its budget of {budget} steps")
 
-    def assign_objects(i, omap):
-        if i == len(objs):
-            yield dict(omap)
-            return
+    def fill_object(i):
         o = objs[i]
-        pool = terminals_N if o == M.terminal else baseN.objects
-        for n in pool:
+        for n in terminals_N if o == M.terminal else baseN.objects:
             tick()
-            ok = True
-            for o2, n2 in omap.items():
-                if baseM.hom(o2, o) and not baseN.hom(n2, n):
-                    ok = False
-                    break
-                if baseM.hom(o, o2) and not baseN.hom(n, n2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            omap[o] = n
-            yield from assign_objects(i + 1, omap)
-            del omap[o]
+            if all((not baseM.hom(o2, o) or baseN.hom(n2, n)) and (not baseM.hom(o, o2) or baseN.hom(n, n2))
+                   for o2, n2 in omap.items()):
+                omap[o] = n
+                yield
+                del omap[o]
 
-    def assign_arrows(omap):
-        arrows = list(baseM.arrow_ids)
+    def fill_arrow(k):
+        a = arrows[k]
+        s, t = baseM.src[a], baseM.tgt[a]
+        for fa in [baseN.id_of(omap[s])] if baseM.is_identity(a) else baseN.hom(omap[s], omap[t]):
+            tick()
+            amap[a] = fa
+            if all(baseN.compose[amap[f], amap[g]] == amap[baseM.compose[f, g]] for f, g in laws[k]):
+                yield
+        amap.pop(a, None)
 
-        def rec(k, amap):
-            if k == len(arrows):
-                yield dict(amap)
-                return
-            a = arrows[k]
-            s, t = baseM.src[a], baseM.tgt[a]
-            if baseM.is_identity(a):
-                pool = [baseN.id_of(omap[s])]
-            else:
-                pool = baseN.hom(omap[s], omap[t])
-            for fa in pool:
-                tick()
-                good = True
-                for (f, g), h in baseM.compose.items():
-                    vals = [amap.get(f) if f != a else fa, amap.get(g) if g != a else fa,
-                            amap.get(h) if h != a else fa]
-                    if None in vals:
-                        continue
-                    if baseN.comp(vals[0], vals[1]) != vals[2]:
-                        good = False
-                        break
-                if not good:
-                    continue
-                amap[a] = fa
-                yield from rec(k + 1, amap)
-                del amap[a]
-
-        yield from rec(0, {})
-
-    def assign_components(omap, amap):
-        # declaration order: earlier sorts fix the telescope mapping of later ones
-        slots = []
-        for name in sorts:
-            for c in objs:
-                for x in M.sorts[name].total.fibers[c]:
-                    slots.append((name, c, x))
-
-        comp = {name: {c: {} for c in objs} for name in sorts}
-        partial = ModelMorphism(M, N, FunctorData(omap, amap), comp)
-
-        def candidates(name, c, x):
-            siM, siN = M.sorts[name], N.sorts[name]
-            try:
-                want = map_te(partial, siM.tele_ctx, c, siM.family.components[c][x])
-            except KeyError:
-                return None  # telescope mapping not decided yet (cannot happen in decl order)
-            fc = omap[c]
-            return [y for y in siN.total.fibers[fc] if siN.family.components[fc][y] == want]
-
-        def natural_ok(name, c, x, y):
-            siM, siN = M.sorts[name], N.sorts[name]
-            for a in baseM.arrow_ids:
-                if baseM.tgt[a] == c:
-                    s = baseM.src[a]
-                    x2 = siM.total.action[a][x]
-                    if x2 in comp[name][s]:
-                        if comp[name][s][x2] != siN.total.action[amap[a]][y]:
-                            return False
-                if baseM.src[a] == c:
-                    t = baseM.tgt[a]
-                    for up, down in ((u, siM.total.action[a][u]) for u in siM.total.fibers[t]):
-                        if down == x and up in comp[name][t]:
-                            if siN.total.action[amap[a]][comp[name][t][up]] != y:
-                                return False
-            return True
-
-        def rec(k):
-            if k == len(slots):
-                yield ModelMorphism(M, N, FunctorData(dict(omap), dict(amap)),
-                                    {n: {c: dict(comp[n][c]) for c in objs} for n in sorts})
-                return
-            name, c, x = slots[k]
-            pool = candidates(name, c, x)
-            if pool is None:
-                return
-            for y in pool:
-                tick()
-                if not natural_ok(name, c, x, y):
-                    continue
+    def fill_component(k):
+        name, c, x = slots[k]
+        siM, siN = M.sorts[name], N.sorts[name]
+        try:
+            want = map_te(partial, siM.tele_ctx, c, siM.family.components[c][x])
+        except KeyError:
+            return  # telescope mapping not decided yet (cannot happen in decl order)
+        fc = omap[c]
+        for y in [y for y in siN.total.fibers[fc] if siN.family.components[fc][y] == want]:
+            tick()
+            img[k] = y
+            if all(img[j] == acts[a][img[i]] for i, j, a in squares[k]):
                 comp[name][c][x] = y
-                yield from rec(k + 1)
+                yield
                 del comp[name][c][x]
 
-        yield from rec(0)
-
-    for omap in assign_objects(0, {}):
-        for amap in assign_arrows(omap):
-            for cand in assign_components(omap, amap):
+    for _ in _backtrack(0, len(objs), fill_object):
+        for _ in _backtrack(0, len(arrows), fill_arrow):
+            acts = [N.sorts[name].total.action[amap[a]] for name in sorts for a in arrows]
+            for _ in _backtrack(0, len(slots), fill_component):
+                cand = ModelMorphism(M, N, FunctorData(dict(omap), dict(amap)),
+                                     {n: {c: dict(comp[n][c]) for c in objs} for n in sorts})
                 if check_morphism(sig, cand).ok:
                     out.append(cand)
     return out
@@ -1419,13 +1385,16 @@ def _enc(x):
 
 
 def _dec(x):
+    """Inverse of _enc; raises ValueError on anything it does not write."""
     from .kernel.terms import expr_from_data
 
-    if isinstance(x, dict) and "t" in x:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, dict) and isinstance(x.get("t"), list):
         return tuple(_dec(v) for v in x["t"])
     if isinstance(x, dict) and "e" in x:
         return expr_from_data(x["e"])
-    return x
+    raise ValueError(f"bad element id: {x!r}")
 
 
 def _psh_to_doc(p: Presheaf):
@@ -1518,7 +1487,7 @@ def _sort_doc_ok(sdoc, base) -> bool:
 
 def model_from_json(doc: dict) -> ModelData:
     """Raises ValueError when doc does not have the shape model_to_json
-    writes (element ids and kernel expressions are decoded as found)."""
+    writes, element ids and kernel expressions included."""
     from .kernel.check import parse_signature
     from .kernel.terms import expr_from_data
 

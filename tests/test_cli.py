@@ -126,6 +126,15 @@ def test_suite_subset():
     assert rep["result"]["criteria"]["3"]["ok"]
 
 
+def test_suite_report_keeps_detail():
+    reports = [report(run_cli("suite", "--only", "7,8")) for _ in range(2)]
+    for rep in reports:
+        for criterion in rep["result"]["criteria"].values():
+            del criterion["elapsed_s"]
+    assert reports[0] == reports[1]
+    assert reports[0]["result"]["criteria"]["8"]["detail"]["rows"]
+
+
 @pytest.mark.parametrize(
     "golden,args",
     [
@@ -227,6 +236,32 @@ def test_model_document_shape_checked(command, field, value, tmp_path):
     model.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     _expect_malformed(run_cli(command, str(model), "--out", str(out)), out, "model")
+
+
+def _bad_element_id(doc):
+    fibre = next(f for f in doc["sorts"]["El"]["tele_obj"]["fibers"].values() if f)
+    fibre[0] = {"t": 5}
+
+
+def _bad_telescope(doc):
+    doc["sorts"]["El"]["tele"] = [5]
+
+
+@pytest.mark.parametrize("mutate,error", [(_bad_element_id, "bad element id"),
+                                          (_bad_telescope, "bad expression encoding")])
+@pytest.mark.parametrize("command", ["check-model", "heart", "il"])
+def test_model_document_decoding_checked(command, mutate, error, tmp_path):
+    doc = _classifier_model_doc()
+    mutate(doc)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    proc = run_cli(command, str(model), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert rep["result"]["error"].startswith(error)
 
 
 def test_model_witness_rows_name_known_ids(tmp_path):
