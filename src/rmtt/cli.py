@@ -14,7 +14,7 @@ import pathlib
 import sys
 
 from .corpus import corpus_generate
-from .fincat import FiniteCategory, validate_category
+from .fincat import FiniteCategory, names, require_shape, validate_category
 from .kernel import (
     KernelError,
     NormalizationBudget,
@@ -28,6 +28,7 @@ from .kernel import (
 )
 from .models import (
     ModelBudget,
+    ModelError,
     check_model,
     heart,
     initial_model,
@@ -272,6 +273,21 @@ def cmd_lifting(run, args):
     return run.finish(OK if res["ok"] else FAIL, res["detail"])
 
 
+def _attachment_rows(doc):
+    """The rows of a cofibration document, {"attachments": [{"length": n,
+    "top": "Ty" | "El", "terms": [term, ...]}, ...]}, shape-checked."""
+    rows = doc.get("attachments") if isinstance(doc, dict) else None
+    require_shape("cofibration", {"attachments": isinstance(rows, list)})
+    for k, a in enumerate(rows):
+        require_shape("cofibration", {f"attachments[{k}]": isinstance(a, dict)})
+        require_shape("cofibration", {
+            f"attachments[{k}].length": type(a.get("length")) is int and a["length"] >= 0,
+            f"attachments[{k}].top": a.get("top") in ("Ty", "El"),
+            f"attachments[{k}].terms": names(a.get("terms", [])),
+        })
+    return rows
+
+
 def cmd_pushout(run, args):
     from .homotopy import Attachment, CofibrationPresentation, pushout_cofibration, added_constants
     from .kernel import print_signature as print_sig
@@ -282,12 +298,12 @@ def cmd_pushout(run, args):
         doc = json.loads(pathlib.Path(args.cofibration).read_text())
         atts = []
         probe = sig
-        for a in doc["attachments"]:
+        for a in _attachment_rows(doc):
             terms = tuple(parse_term_text(probe, t) for t in a.get("terms", []))
             atts.append(Attachment(a["length"], a["top"], terms))
             probe = pushout_cofibration(probe, CofibrationPresentation.of(atts[-1]))
         cof = CofibrationPresentation.of(*atts)
-    except (OSError, KernelError, KeyError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, KernelError, ModelError, KeyError, ValueError, json.JSONDecodeError) as e:
         return run.finish(MALFORMED, {"error": str(e)})
     run.add_input("signature", args.signature)
     run.add_input("cofibration", args.cofibration)
@@ -303,6 +319,7 @@ def cmd_suite(run, args):
     from .acceptance import run_all
 
     only = set(int(x) for x in args.only.split(",")) if args.only else None
+    run.report["budgets"] = {}  # run_all takes none: each criterion runs at its own
     res = run_all(seed=args.seed, only=only)
     summary = {
         k: {"ok": v["ok"], "name": v["name"], "elapsed_s": v["elapsed_s"], "detail": v["detail"]}
@@ -412,7 +429,7 @@ def main(argv=None):
     run = Run(args)
     try:
         return args.fn(run, args)
-    except Inconclusive as e:
+    except (Inconclusive, NormalizationBudget) as e:
         return run.finish(INCONCLUSIVE, {"error": str(e)})
     except Unclassifiable as e:
         return run.finish(FAIL, {"error": str(e)})

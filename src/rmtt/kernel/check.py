@@ -15,6 +15,7 @@ fuel raises NormalizationBudget rather than guessing.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -95,8 +96,22 @@ class Rule:
         return self.lhs.head
 
 
+# entries a per-signature memo may hold before it is emptied
+CACHE_LIMIT = 1 << 16
+
+
+def bounded(cache):
+    """The memo, emptied first if it holds CACHE_LIMIT entries.  Called at
+    top-level entry points only, so no computation loses entries it
+    still reads."""
+    if len(cache) >= CACHE_LIMIT:
+        cache.clear()
+    return cache
+
+
 class Signature:
-    """Immutable after validation; carries a normal-form cache."""
+    """Immutable after validation; carries the normal-form cache and the
+    enumeration memos of `contexts`."""
 
     def __init__(self, items=(), notes=()):
         self.items = tuple(items)  # Declaration | Rule in declaration order
@@ -108,10 +123,15 @@ class Signature:
                 self.decls[it.name] = it
             else:
                 self.rules_by_head.setdefault(it.head, []).append(it)
+        self._declarations = tuple(it for it in self.items if isinstance(it, Declaration))
+        self.term_decls = tuple(d for d in self._declarations if d.is_term)
+        self.sort_decls = tuple(d for d in self._declarations if not d.is_term)
         self._nf_cache = {}
+        self._term_enum_cache = {}
+        self._buckets = {}
 
     def declarations(self):
-        return [it for it in self.items if isinstance(it, Declaration)]
+        return self._declarations
 
     def rules(self):
         return [it for it in self.items if isinstance(it, Rule)]
@@ -166,6 +186,16 @@ class _Parser:
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
+
+    @contextmanager
+    def depth_guard(self):
+        """Input nested past the interpreter's stack, while parsing or
+        resolving it, is a ParseError at the token reached."""
+        try:
+            yield
+        except RecursionError:
+            t = self.toks[min(self.pos, len(self.toks) - 1)]
+            raise ParseError("expression nested too deeply", t[2], t[3]) from None
 
     def peek(self, k=0):
         return self.toks[self.pos + k]
@@ -389,16 +419,16 @@ def normalize(sig: Signature, t, fuel=DEFAULT_FUEL):
     """Innermost rewriting to a normal form; idempotent on its results.
     Raises NormalizationBudget when the step budget runs out (or when a
     runaway rule tower exhausts the interpreter stack first)."""
-    cached = sig._nf_cache.get(t)
+    cached = bounded(sig._nf_cache).get(t)
     if cached is not None:
         return cached
     budget = [fuel]
     try:
         nf = _norm(sig, t, budget)
+        sig._nf_cache[t] = nf
+        sig._nf_cache[nf] = nf
     except RecursionError:
         raise NormalizationBudget("no normal form within budget (rewrite tower too deep)")
-    sig._nf_cache[t] = nf
-    sig._nf_cache[nf] = nf
     return nf
 
 
@@ -625,7 +655,11 @@ def parse_and_check(text: str):
     """Parse a signature, checking each item against the prefix before it.
     Returns (signature of the accepted items, report of all issues)."""
     parser = _Parser(text)
-    raw_items = parser.parse_signature_items()
+    with parser.depth_guard():
+        return _check_items(parser.parse_signature_items())
+
+
+def _check_items(raw_items):
     report = SigReport()
     sig = Signature()
     for raw in raw_items:
@@ -727,17 +761,19 @@ def parse_term_text(sig: Signature, text: str, context_names=()):
     """Parse a standalone term against a signature; names in
     context_names resolve to variables (outermost first)."""
     parser = _Parser(text)
-    raw = parser.parse_term()
-    if parser.peek()[0] != "eof":
-        t = parser.peek()
-        raise ParseError("trailing input after term", t[2], t[3])
-    return _Resolver(sig.decls).term(raw, list(context_names))
+    with parser.depth_guard():
+        raw = parser.parse_term()
+        if parser.peek()[0] != "eof":
+            t = parser.peek()
+            raise ParseError("trailing input after term", t[2], t[3])
+        return _Resolver(sig.decls).term(raw, list(context_names))
 
 
 def parse_type_text(sig: Signature, text: str, context_names=()):
     parser = _Parser(text)
-    raw = parser.parse_type()
-    if parser.peek()[0] != "eof":
-        t = parser.peek()
-        raise ParseError("trailing input after type", t[2], t[3])
-    return _Resolver(sig.decls).type(raw, list(context_names))
+    with parser.depth_guard():
+        raw = parser.parse_type()
+        if parser.peek()[0] != "eof":
+            t = parser.peek()
+            raise ParseError("trailing input after type", t[2], t[3])
+        return _Resolver(sig.decls).type(raw, list(context_names))

@@ -15,9 +15,9 @@ from .check import (
     Declaration,
     Signature,
     TypeCheckError,
+    bounded,
     check_term,
     check_type,
-    conv,
     is_rep_type,
     normalize,
 )
@@ -98,106 +98,137 @@ def _key(t):
     return (term_size(t), repr(t))
 
 
+# Terms are enumerated by exact size (as in Feat, Duregard, Jansson and
+# Wang 2012) into the per-signature memo `sig._buckets`, which holds
+#   ("terms", ctx, ty, n):  the terms of size n of the normalised type ty,
+#   ("apps", ctx, n):       constant applications and variable-headed
+#                           spines of size n, by normalised type,
+#   ("spines", ctx, n):     the variable-headed spines of size n with their
+#                           normalised types (bare variables at n = 1),
+#   ("sorts", ctx, n):      sort applications of size n, normalised,
+# and every <= n enumeration concatenates buckets 1..n.  An entry is
+# stored only once complete, so a NormalizationBudget raised while one
+# is built leaves nothing behind.
+
+
+def _bucket(sig, ctx, ty, n):
+    key = ("terms", ctx, ty, n)
+    out = sig._buckets.get(key)
+    if out is None:
+        out = _applications(sig, ctx, n).get(ty, ())
+        if isinstance(ty, PiType) and n > 1:
+            body_ty = normalize(sig, ty.cod)
+            out = tuple(Lam(ty.dom, b) for b in _bucket(sig, ctx + (ty.dom,), body_ty, n - 1)) + out
+        sig._buckets[key] = out
+    return out
+
+
+def _applications(sig, ctx, n):
+    key = ("apps", ctx, n)
+    groups = sig._buckets.get(key)
+    if groups is None:
+        groups = {}
+        for d in sig.term_decls:
+            if d.arity < n:
+                for args in _arguments(sig, ctx, d.telescope, (), n - 1):
+                    ty = normalize(sig, instantiate_many(d.target, args))
+                    groups.setdefault(ty, []).append(Const(d.name, args))
+        for t, ty in _var_spines(sig, ctx, n):
+            groups.setdefault(ty, []).append(t)
+        groups = {ty: tuple(ts) for ty, ts in groups.items()}
+        sig._buckets[key] = groups
+    return groups
+
+
+def _var_spines(sig, ctx, n):
+    """A spine of size n > 1 is a shorter one of function type applied to
+    one more argument."""
+    key = ("spines", ctx, n)
+    out = sig._buckets.get(key)
+    if out is None:
+        if n == 1:
+            k = len(ctx)
+            out = tuple((Var(i), normalize(sig, shift(ctx[k - 1 - i], i + 1))) for i in range(k))
+        else:
+            out = []
+            for s in range(1, n):  # size of the last argument
+                for head, head_ty in _var_spines(sig, ctx, n - s):
+                    if isinstance(head_ty, PiType):
+                        for a in _bucket(sig, ctx, normalize(sig, head_ty.dom), s):
+                            out.append((App(head, a), normalize(sig, instantiate_many(head_ty.cod, (a,)))))
+            out = tuple(out)
+        sig._buckets[key] = out
+    return out
+
+
+def _arguments(sig, ctx, telescope, prefix, size):
+    """Argument tuples for a telescope, after the arguments in prefix, of
+    total size exactly `size` >= len(telescope): a sum over the size of
+    the first argument."""
+    if not telescope:
+        if size == 0:
+            yield ()
+        return
+    want = normalize(sig, instantiate_many(telescope[0], prefix))
+    rest = telescope[1:]
+    for s in range(1, size - len(rest) + 1) if rest else (size,):
+        for a in _bucket(sig, ctx, want, s):
+            for tail in _arguments(sig, ctx, rest, prefix + (a,), size - s):
+                yield (a,) + tail
+
+
+def _sort_applications(sig, ctx, n):
+    key = ("sorts", ctx, n)
+    out = sig._buckets.get(key)
+    if out is None:
+        out = tuple(
+            (d, normalize(sig, SortApp(d.name, args)))
+            for d in sig.sort_decls
+            if d.arity < n
+            for args in _arguments(sig, ctx, d.telescope, (), n - 1)
+        )
+        sig._buckets[key] = out
+    return out
+
+
 def enumerate_terms(sig: Signature, ctx, ty, size, normal_only=True):
     """All well-typed terms of the given type with size <= size, smallest
     first; with normal_only, only terms that are their own normal form
     (one representative per convertibility class the budget can see)."""
-    cache = getattr(sig, "_term_enum_cache", None)
-    if cache is None:
-        cache = sig._term_enum_cache = {}
+    ctx = tuple(ctx)
     ty = normalize(sig, ty)
-    key = (tuple(ctx), ty, size, normal_only)
+    cache = bounded(sig._term_enum_cache)
+    key = (ctx, ty, size, normal_only)
     if key in cache:
         return cache[key]
+    bounded(sig._buckets)
     out = []
     seen = set()
-    for t in _raw_terms(sig, tuple(ctx), ty, size):
-        if normal_only:
-            try:
-                if normalize(sig, t) != t:
+    for n in range(1, size + 1):
+        for t in _bucket(sig, ctx, ty, n):
+            if normal_only:
+                try:
+                    if normalize(sig, t) != t:
+                        continue
+                except NormalizationBudget:
                     continue
-            except NormalizationBudget:
-                continue
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
+            if t not in seen:
+                seen.add(t)
+                out.append(t)
     out.sort(key=_key)
     cache[key] = out
     return out
 
 
-def _raw_terms(sig, ctx, ty, size):
-    if size <= 0:
-        return
-    # variables
-    n = len(ctx)
-    for i in range(n):
-        vty = shift(ctx[n - 1 - i], i + 1)
-        if conv(sig, vty, ty):
-            yield Var(i)
-    # lambda
-    if isinstance(ty, PiType):
-        for body in _raw_terms(sig, ctx + (ty.dom,), normalize(sig, ty.cod), size - 1):
-            yield Lam(ty.dom, body)
-    # constant heads
-    for d in sig.declarations():
-        if not d.is_term:
-            continue
-        min_size = 1 + d.arity
-        if min_size > size:
-            continue
-        for args in _spines(sig, ctx, d.telescope, size - 1):
-            result = normalize(sig, instantiate_many(d.target, args))
-            if conv(sig, result, ty):
-                yield Const(d.name, args)
-    # variable-headed applications
-    for i in range(n):
-        vty = normalize(sig, shift(ctx[n - 1 - i], i + 1))
-        yield from _var_apps(sig, ctx, Var(i), vty, ty, size - 1)
-
-
-def _var_apps(sig, ctx, head, head_ty, want, size):
-    if not isinstance(head_ty, PiType) or size <= 0:
-        return
-    for a in _raw_terms(sig, ctx, normalize(sig, head_ty.dom), size):
-        out = App(head, a)
-        out_ty = normalize(sig, instantiate_many(head_ty.cod, (a,)))
-        rest = size - term_size(a)
-        if conv(sig, out_ty, want):
-            yield out
-        yield from _var_apps(sig, ctx, out, out_ty, want, rest)
-
-
-def _spines(sig, ctx, telescope, size):
-    """All argument tuples for a telescope with total size <= size."""
-    yield from _spines_after(sig, ctx, tuple(telescope), (), size)
-
-
-def _spines_after(sig, ctx, telescope, prefix, size):
-    if not telescope:
-        yield ()
-        return
-    want = normalize(sig, instantiate_many(telescope[0], prefix))
-    rest = telescope[1:]
-    for a in _raw_terms(sig, ctx, want, size - len(rest)):
-        for tail in _spines_after(sig, ctx, rest, prefix + (a,), size - term_size(a)):
-            yield (a,) + tail
-
-
 def enumerate_types(sig: Signature, ctx, size, rep_only=False):
     """Sort applications with enumerated spines, smallest first."""
+    ctx = tuple(ctx)
+    bounded(sig._buckets)
     out = []
     seen = set()
-    for d in sig.declarations():
-        if d.is_term:
-            continue
-        if rep_only and not d.is_rep_sort:
-            continue
-        if 1 + d.arity > size:
-            continue
-        for args in _spines(sig, tuple(ctx), d.telescope, size - 1):
-            ty = normalize(sig, SortApp(d.name, args))
-            if ty not in seen:
+    for n in range(1, size + 1):
+        for d, ty in _sort_applications(sig, ctx, n):
+            if (d.is_rep_sort or not rep_only) and ty not in seen:
                 seen.add(ty)
                 out.append(ty)
     out.sort(key=_key)

@@ -461,9 +461,7 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
                 inv[(c, key)] = x
         return inv
 
-    for d in sig.declarations():
-        if not d.is_term:
-            continue
+    for d in sig.term_decls:
         name = d.name
         if name in ("Unit", "tt", "Sig", "pair", "fst", "snd", "Id", "refl", "J", "K",
                     "Pi", "lam", "app", "funext"):
@@ -819,9 +817,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
 
     index_of = {obj_ids[i]: i for i in range(len(ctxs))}
 
-    for d in sig.declarations():
-        if d.is_term:
-            continue
+    for d in sig.sort_decls:
         for ty in d.telescope:
             if not isinstance(ty, SortApp):
                 raise ModelError("sort telescopes must be sort applications")
@@ -896,9 +892,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
             witness = ComprehensionWitness(family, data)
         model.sorts[d.name] = SortInterp(d.telescope, tele_obj, total, family, witness, d.is_rep_sort)
 
-    for d in sig.declarations():
-        if not d.is_term:
-            continue
+    for d in sig.term_decls:
         table = {}
         for c in base.objects:
             i = index_of[c]
@@ -1171,9 +1165,7 @@ def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
 
     val_bad = []
     if not bc_bad:
-        for d in sig.declarations():
-            if not d.is_term:
-                continue
+        for d in sig.term_decls:
             tabM = M.term_values.get(d.name, {})
             tabN = N.term_values.get(d.name, {})
             for (c, te), v in tabM.items():
@@ -1228,7 +1220,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
     terminals_N = [o for o in baseN.objects if all(len(baseN.hom(x, o)) == 1 for x in baseN.objects)]
     objs = list(baseM.objects)
     arrows = baseM.arrow_ids
-    sorts = [d.name for d in sig.declarations() if not d.is_term]
+    sorts = [d.name for d in sig.sort_decls]
     omap, amap = {}, {}
     comp = {name: {c: {} for c in objs} for name in sorts}
     partial = ModelMorphism(M, N, FunctorData(omap, amap), comp)
@@ -1348,9 +1340,7 @@ def unique_morphism_from_initial(sig: Signature, depth, target: ModelData,
             raise ModelError("no unique base arrow for a substitution image")
         amap[aid] = hits[0]
     comps = {}
-    for d in sig.declarations():
-        if d.is_term:
-            continue
+    for d in sig.sort_decls:
         name = d.name
         comps[name] = {}
         siM = initial.sorts[name]

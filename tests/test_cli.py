@@ -271,3 +271,89 @@ def test_model_witness_rows_name_known_ids(tmp_path):
     model.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     _expect_malformed(run_cli("heart", str(model), "--out", str(out)), out, "model")
+
+
+DEEP = 3000
+
+
+def _deep_signature(tmp_path):
+    sig = tmp_path / "deep.sig"
+    sig.write_text("A : sort\nf : (x : A) -> A\nc : A\nB : (x : A) -> sort\n"
+                   f"d : B({'f(' * DEEP}c{')' * DEEP})\n")
+    return sig
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-sig", "{sig}"),
+        ("normalize", "tthg", "(" * DEEP + "x" + ")" * DEEP),
+        ("normalize", "itth", "El(" * DEEP + "Unit" + ")" * DEEP),
+        ("pushout", "itth", "{cof}"),
+        ("--depth", "1", "initial-model", "{sig}"),
+        ("correspondence", "{sig}"),
+    ],
+    ids=["check-sig", "normalize-parens", "normalize-El", "pushout", "initial-model", "correspondence"],
+)
+def test_deep_nesting_is_malformed(args, tmp_path):
+    cof = tmp_path / "cof.json"
+    cof.write_text(json.dumps({"attachments": [
+        {"length": 0, "top": "Ty", "terms": []},
+        {"length": 0, "top": "El", "terms": ["(" * DEEP + "att0" + ")" * DEEP]},
+    ]}))
+    out = tmp_path / "r.json"
+    proc = run_cli(*(a.format(sig=_deep_signature(tmp_path), cof=cof) for a in args), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert "nested too deeply" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "doc,bad",
+    [
+        ({"attachments": 5}, "attachments"),
+        ([1], "attachments"),
+        ({"attachments": [1]}, "attachments[0]"),
+        ({"attachments": [{"length": "x", "top": "Ty"}]}, "attachments[0].length"),
+        ({"attachments": [{"length": 0, "top": "bogus"}]}, "attachments[0].top"),
+        ({"attachments": [{"length": 0, "top": "Ty", "terms": [5]}]}, "attachments[0].terms"),
+    ],
+)
+def test_cofibration_document_shape_checked(doc, bad, tmp_path):
+    cof = tmp_path / "cof.json"
+    cof.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    proc = run_cli("pushout", "itth", str(cof), "--out", str(out))
+    _expect_malformed(proc, out, "cofibration")
+    assert json.loads(out.read_text())["result"]["error"].endswith(f"bad {bad}")
+
+
+def test_cofibration_attachment_checked_against_its_chain(tmp_path):
+    cof = tmp_path / "cof.json"
+    cof.write_text(json.dumps({"attachments": [{"length": 1, "top": "Ty", "terms": []}]}))
+    out = tmp_path / "r.json"
+    proc = run_cli("pushout", "itth", str(cof), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must instantiate the source chain" in json.loads(out.read_text())["result"]["error"]
+
+
+def test_suite_reports_no_unused_budgets():
+    rep = report(run_cli("--depth", "5", "--fuel", "7", "suite", "--only", "3"))
+    assert rep["budgets"] == {}
+    assert rep["result"]["criteria"]["3"]["ok"]
+
+
+def test_budget_escaping_enumeration_is_inconclusive(tmp_path):
+    # g's result type mentions the looping f(x), so enumerating the
+    # initial model's types runs out of fuel
+    sig = tmp_path / "loop.sig"
+    sig.write_text("A : sort\nB : (x : A) -> sort\na : A\nf : (x : A) -> A\n"
+                   "g : (x : A) -> B(f(x))\nf(x) ~> f(x)\n")
+    out = tmp_path / "r.json"
+    proc = run_cli("--depth", "1", "initial-model", str(sig), "--out", str(out))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert json.loads(out.read_text())["status"] == "inconclusive"
