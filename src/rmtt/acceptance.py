@@ -52,12 +52,14 @@ from .models import (
 )
 from .rfib import (
     arrows_iso_over,
+    backtrack,
     classify,
     enumerate_maps,
     find_iso,
     find_iso_over,
     is_representable_map,
     is_univalent,
+    naturality_squares,
     polynomial_apply,
     polynomial_compose,
     pullback_of_maps,
@@ -107,47 +109,25 @@ def _pseudo_classifications(base, cls, F):
     isomorphism over each stage; the finite rendering of isomorphism
     classes of classifiable representable maps over F."""
     slots = [(c, x) for c in base.objects for x in F.fibers[c]]
+    slot = {c: {} for c in base.objects}
+    for k, (c, x) in enumerate(slots):
+        slot[c][x] = k
+    squares = naturality_squares(F, slot)
+    img = [None] * len(slots)
     results = []
 
-    def rec(k, assign):
-        if k == len(slots):
-            results.append(dict(assign))
-            return
-        c, x = slots[k]
+    def fill(k):
+        c = slots[k][0]
         for a in cls.omega.fibers[c]:
-            ok = True
-            for u in base.arrow_ids:
-                if base.tgt[u] != c:
-                    continue
-                d = base.src[u]
-                key = (d, F.action[u][x])
-                if key in assign:
-                    moved = cls.omega.action[u][a]
-                    if not arrows_iso_over(base, assign[key], moved):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            # also check arrows out of c against already assigned slots
-            for u in base.arrow_ids:
-                if base.src[u] != c:
-                    continue
-                t = base.tgt[u]
-                for y in F.fibers[t]:
-                    if F.action[u][y] == x and (t, y) in assign:
-                        moved = cls.omega.action[u][assign[(t, y)]]
-                        if not arrows_iso_over(base, a, moved):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            assign[(c, x)] = a
-            rec(k + 1, assign)
-            del assign[(c, x)]
+            img[k] = a
+            if all(
+                arrows_iso_over(base, img[j], cls.omega.action[u][img[i]])
+                for i, j, u in squares.get(k, ())
+            ):
+                yield
 
-    rec(0, {})
+    for _ in backtrack(0, len(slots), fill):
+        results.append(dict(zip(slots, img)))
     # quotient by pointwise isomorphism-over
     classes = []
     for r in results:

@@ -252,21 +252,27 @@ def enumerate_substitutions(sig: Signature, src, tgt, size):
     return results
 
 
-def contexts_isomorphic(sig: Signature, a, b, size=4) -> bool:
-    """Do substitutions both ways compose to identities (up to rule
-    convertibility)?  Exhaustive within the size budget."""
+def contexts_iso_subs(sig: Signature, a, b, size=4):
+    """Substitutions (f : a -> b, g : b -> a) composing to identities up
+    to rule convertibility, or None.  Exhaustive within the size
+    budget."""
     if len(a) != len(b):
-        return False
+        return None
     for f in enumerate_substitutions(sig, a, b, size):
         for g in enumerate_substitutions(sig, b, a, size):
             if hom_equal(sig, compose_subst(sig, f, g), identity_subst(b)) and hom_equal(
                 sig, compose_subst(sig, g, f), identity_subst(a)
             ):
-                return True
-    return False
+                return (f, g)
+    return None
 
 
-def enumerate_contexts(sig: Signature, depth, type_size=4, dedupe=True):
+def contexts_isomorphic(sig: Signature, a, b, size=4) -> bool:
+    """Are the contexts isomorphic within the size budget?"""
+    return contexts_iso_subs(sig, a, b, size) is not None
+
+
+def enumerate_contexts(sig: Signature, depth, type_size=4):
     """Contexts of representable types up to the given length, in
     canonical order, deduplicated up to isomorphism."""
     layers = [[()]]
@@ -275,7 +281,7 @@ def enumerate_contexts(sig: Signature, depth, type_size=4, dedupe=True):
         for ctx in layers[-1]:
             for ty in enumerate_types(sig, ctx, type_size, rep_only=True):
                 cand = ctx + (ty,)
-                if dedupe and any(contexts_isomorphic(sig, cand, kept) for kept in new):
+                if any(contexts_isomorphic(sig, cand, kept) for kept in new):
                     continue
                 new.append(cand)
         layers.append(new)
@@ -399,7 +405,7 @@ def term_pool(sig: Signature, depth=1, type_size=4, term_size_budget=6, max_cont
     return pool
 
 
-def enumerate_framework_contexts(sig: Signature, depth, type_size=4, dedupe=True):
+def enumerate_framework_contexts(sig: Signature, depth, type_size=4):
     """Contexts whose entries are sort or representable-sort applications
     (no product entries), up to the given length.  The internal-language
     and correspondence checks quantify over these."""
@@ -409,7 +415,7 @@ def enumerate_framework_contexts(sig: Signature, depth, type_size=4, dedupe=True
         for ctx in layers[-1]:
             for ty in enumerate_types(sig, ctx, type_size, rep_only=False):
                 cand = ctx + (ty,)
-                if dedupe and any(contexts_isomorphic(sig, cand, kept) for kept in new):
+                if any(contexts_isomorphic(sig, cand, kept) for kept in new):
                     continue
                 new.append(cand)
         layers.append(new)

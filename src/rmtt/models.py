@@ -36,8 +36,10 @@ from .rfib import (
     Presheaf,
     PshMap,
     RfibError,
+    backtrack,
     bang,
     is_representable,
+    naturality_squares,
     require_distinct_fibers,
     terminal_psh,
 )
@@ -46,10 +48,10 @@ from .kernel.check import Signature, infer_term, normalize
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift
 from .kernel.contexts import (
     compose_subst,
+    contexts_iso_subs,
     enumerate_framework_contexts,
     enumerate_substitutions,
     enumerate_terms,
-    hom_equal,
     identity_subst,
     normalize_subst,
     slice_theory,
@@ -700,20 +702,6 @@ def _weakening_subst(ctx):
     return tuple(Var(n - k) for k in range(n))
 
 
-def contexts_iso_subs(sig: Signature, a, b, size=4):
-    """Substitutions (f : a -> b, g : b -> a) composing to identities up
-    to rule convertibility, or None."""
-    if len(a) != len(b):
-        return None
-    for f in enumerate_substitutions(sig, a, b, size):
-        for g in enumerate_substitutions(sig, b, a, size):
-            if hom_equal(sig, compose_subst(sig, f, g), identity_subst(b)) and hom_equal(
-                sig, compose_subst(sig, g, f), identity_subst(a)
-            ):
-                return (f, g)
-    return None
-
-
 def _enumerate_contexts_with_isos(sig: Signature, depth, type_size, subst_size):
     """Representable contexts up to depth with, for every one-step
     extension of a kept context, its kept representative and the
@@ -1038,7 +1026,7 @@ def map_value(m: ModelMorphism, ctx, ty, c, env, v):
         if inverse is None:
             raise ModelError("comparison arrow is not invertible")
         v_img = map_value(m, ctx + (dom,), ty.cod, obj, env2, v)
-        env_n = map_env_at(m, ctx + (dom,), obj, env2)
+        env_n = map_env(m, ctx + (dom,), obj, env2)
         return eval_type_act(N, ctx + (dom,), ty.cod, inverse, env_n, v_img)
     raise ModelError(f"cannot map a value of type {ty!r}")
 
@@ -1061,16 +1049,6 @@ def te_prefix(te, n, k):
     for _ in range(n - k):
         te = te[0]
     return te
-
-
-def map_env_at(m: ModelMorphism, ctx, c, env):
-    """Map a context environment at a stage: entries of the interpreted
-    context, at the image stage."""
-    raws = env_list(env, len(ctx))
-    out = ()
-    for k, (ty, v) in enumerate(zip(ctx, raws)):
-        out = (out, map_value(m, tuple(ctx[:k]), ty, c, te_prefix(env, len(ctx), k), v))
-    return out
 
 
 def compose_model_morphisms(m1: ModelMorphism, m2: ModelMorphism) -> ModelMorphism:
@@ -1194,17 +1172,6 @@ def identity_morphism(model: ModelData) -> ModelMorphism:
     return ModelMorphism(model, model, fun, comps)
 
 
-def _backtrack(k, n, fill):
-    """Fill slots k..n-1 in order and yield once per complete filling.
-    `fill(k)` is a generator that assigns each accepted value of slot k
-    in turn and yields after each, undoing its assignment when done."""
-    if k == n:
-        yield
-        return
-    for _ in fill(k):
-        yield from _backtrack(k + 1, n, fill)
-
-
 def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget=2000000):
     """All valid morphisms M -> N by guided backtracking: object images,
     then arrow images, then sort components drawn from the images that
@@ -1231,25 +1198,17 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         laws[max(baseM.arr_index(fg[0]), baseM.arr_index(fg[1]), baseM.arr_index(h))].append(fg)
 
     # declaration order: earlier sorts fix the telescope mapping of later ones
-    slots, slot_of = [], {}
-    for name in sorts:
-        for c in objs:
-            slot_of[name, c] = {}
-            for x in M.sorts[name].total.fibers[c]:
-                slot_of[name, c][x] = len(slots)
-                slots.append((name, c, x))
-    # naturality of a : s -> t at u over t as (slot of u, slot of a.u,
-    # index of (sort, a) in acts), under the later of the two slots;
-    # check_morphism decides a square whose two slots coincide
-    squares = [[] for _ in slots]
+    slots, squares = [], {}
     for si, name in enumerate(sorts):
-        action = M.sorts[name].total.action
-        for ai, a in enumerate(arrows):
-            below = slot_of[name, baseM.src[a]]
-            for u, i in slot_of[name, baseM.tgt[a]].items():
-                j = below[action[a][u]]
-                if i != j:
-                    squares[max(i, j)].append((i, j, si * len(arrows) + ai))
+        total = M.sorts[name].total
+        slot = {}
+        for c in objs:
+            slot[c] = {x: len(slots) + n for n, x in enumerate(total.fibers[c])}
+            slots += [(name, c, x) for x in total.fibers[c]]
+        # the arrow of a square as its index in acts; check_morphism
+        # decides a square whose two slots coincide
+        for k, sq in naturality_squares(total, slot).items():
+            squares[k] = [(i, j, si * len(arrows) + baseM.arr_index(a)) for i, j, a in sq if i != j]
     img = [None] * len(slots)
 
     def tick():
@@ -1286,18 +1245,19 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         except KeyError:
             return  # telescope mapping not decided yet (cannot happen in decl order)
         fc = omap[c]
+        checks = squares.get(k, ())
         for y in [y for y in siN.total.fibers[fc] if siN.family.components[fc][y] == want]:
             tick()
             img[k] = y
-            if all(img[j] == acts[a][img[i]] for i, j, a in squares[k]):
+            if all(img[j] == acts[a][img[i]] for i, j, a in checks):
                 comp[name][c][x] = y
                 yield
                 del comp[name][c][x]
 
-    for _ in _backtrack(0, len(objs), fill_object):
-        for _ in _backtrack(0, len(arrows), fill_arrow):
+    for _ in backtrack(0, len(objs), fill_object):
+        for _ in backtrack(0, len(arrows), fill_arrow):
             acts = [N.sorts[name].total.action[amap[a]] for name in sorts for a in arrows]
-            for _ in _backtrack(0, len(slots), fill_component):
+            for _ in backtrack(0, len(slots), fill_component):
                 cand = ModelMorphism(M, N, FunctorData(dict(omap), dict(amap)),
                                      {n: {c: dict(comp[n][c]) for c in objs} for n in sorts})
                 if check_morphism(sig, cand).ok:

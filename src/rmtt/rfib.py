@@ -280,6 +280,38 @@ def identity_map(X: Presheaf) -> PshMap:
 # ---------------------------------------------------------------------------
 
 
+def backtrack(k, n, fill):
+    """Fill slots k..n-1 in order and yield once per complete filling.
+    `fill(k)` is a generator that assigns each accepted value of slot k
+    in turn and yields after each, undoing its assignment when done."""
+    if k == n:
+        yield
+        return
+    for _ in fill(k):
+        yield from backtrack(k + 1, n, fill)
+
+
+def naturality_squares(X: Presheaf, slot):
+    """The naturality squares of a map out of X, each filed once under
+    the slot assigned last: {k: [(i, j, a), ...]}.
+
+    `slot[o][x]` numbers the elements of X.  The square of a
+    non-identity arrow a : s -> t at an element u over t joins the slot
+    i of u to the slot j of its transport a.u; a map m is natural there
+    when m(a.u) is a applied to m(u).  At a fixed point of an
+    endomorphism i == j, and the square is filed under that one slot."""
+    base = X.base
+    squares = {}
+    for a in base.arrow_ids:
+        if base.is_identity(a):
+            continue
+        below, table = slot[base.src[a]], X.action[a]
+        for u, i in slot[base.tgt[a]].items():
+            j = below[table[u]]
+            squares.setdefault(max(i, j), []).append((i, j, a))
+    return squares
+
+
 def enumerate_maps(X: Presheaf, Y: Presheaf, candidates=None, bijective=False, budget=None):
     """All natural maps X -> Y, lexicographic in (object order, element
     order, target fiber order).
@@ -287,82 +319,56 @@ def enumerate_maps(X: Presheaf, Y: Presheaf, candidates=None, bijective=False, b
     `candidates(o, x)` may narrow the images tried for element x at o.
     With bijective=True only isomorphism candidates are produced.
     `budget` caps the number of search steps; exceeding it raises
-    Inconclusive rather than yielding a partial answer.
+    Inconclusive rather than yielding a partial answer.  Each
+    naturality square is checked when the last of its slots is filled.
     """
     base = X.base
     if Y.base != base:
         raise RfibError("maps need a common base")
     if bijective and any(len(X.fibers[o]) != len(Y.fibers[o]) for o in base.objects):
         return
-    slots = [(o, x) for o in base.objects for x in X.fibers[o]]
-    index = {s: i for i, s in enumerate(slots)}
-    # For each slot, the naturality constraints touching it and earlier slots.
-    in_arrows = {o: [a for a in base.arrow_ids if base.tgt[a] == o] for o in base.objects}
-    preimage = {
-        a: {} for a in base.arrow_ids
+    slots, slot, first = [], {}, {}
+    for o in base.objects:
+        first[o] = len(slots)
+        slot[o] = {x: len(slots) + n for n, x in enumerate(X.fibers[o])}
+        slots += [(o, x) for x in X.fibers[o]]
+    squares = {
+        k: [(i, j, Y.action[a]) for i, j, a in sq] for k, sq in naturality_squares(X, slot).items()
     }
-    for a in base.arrow_ids:
-        t = base.tgt[a]
-        for x in X.fibers[t]:
-            preimage[a].setdefault(X.action[a][x], []).append(x)
-
-    assign = {}
-    used = {o: set() for o in base.objects}
+    img = [None] * len(slots)
     steps = 0
 
-    def consistent(o, x, y):
-        # arrows into o: image of x transports down and must match earlier slots
-        for a in in_arrows[o]:
-            s = base.src[a]
-            key = (s, X.action[a][x])
-            if key in assign and assign[key] != Y.action[a][y]:
-                return False
-        # arrows out of... x may be a transport of later/earlier elements upstairs
-        for a in base.arrow_ids:
-            if base.src[a] != o:
-                continue
-            for up in preimage[a].get(x, ()):
-                key = (base.tgt[a], up)
-                if key in assign and Y.action[a][assign[key]] != y:
-                    return False
-        return True
-
-    def rec(i):
+    def fill(k):
         nonlocal steps
-        if i == len(slots):
-            comps = {o: {} for o in base.objects}
-            for (o, x), y in assign.items():
-                comps[o][x] = y
-            yield PshMap(X, Y, comps, validate=False)
-            return
-        o, x = slots[i]
-        pool = Y.fibers[o] if candidates is None else candidates(o, x)
-        for y in pool:
+        o, x = slots[k]
+        checks = squares.get(k, ())
+        for y in Y.fibers[o] if candidates is None else candidates(o, x):
             steps += 1
             if budget is not None and steps > budget:
                 raise Inconclusive(f"map enumeration exceeded budget {budget}")
-            if bijective and y in used[o]:
+            # the slots of o are first[o]..k-1, filled already
+            if bijective and y in img[first[o] : k]:
                 continue
-            if not consistent(o, x, y):
-                continue
-            assign[(o, x)] = y
-            if bijective:
-                used[o].add(y)
-            yield from rec(i + 1)
-            del assign[(o, x)]
-            if bijective:
-                used[o].discard(y)
+            img[k] = y
+            if all(img[j] == act[img[i]] for i, j, act in checks):
+                yield
 
-    yield from rec(0)
+    for _ in backtrack(0, len(slots), fill):
+        comps = {o: {x: img[k] for x, k in slot[o].items()} for o in base.objects}
+        yield PshMap(X, Y, comps, validate=False)
 
 
 def enumerate_maps_over(q1: PshMap, q2: PshMap, bijective=False, budget=None):
     """Natural maps phi : dom(q1) -> dom(q2) with q2 . phi = q1."""
     X, Y = q1.source, q2.source
+    # over[o][z]: the elements of Y at o that q2 sends to z, in fibre order
+    over = {o: {} for o in Y.base.objects}
+    for o, fib in Y.fibers.items():
+        for y in fib:
+            over[o].setdefault(q2.components[o][y], []).append(y)
 
     def cand(o, x):
-        want = q1.components[o][x]
-        return [y for y in Y.fibers[o] if q2.components[o][y] == want]
+        return over[o].get(q1.components[o][x], ())
 
     yield from enumerate_maps(X, Y, candidates=cand, bijective=bijective, budget=budget)
 
@@ -1042,25 +1048,22 @@ def _choose_squares(base, stable):
 
     order = sorted(pairs, key=lambda ua: (base.arr_index(ua[0]), base.arr_index(ua[1])))
 
-    def rec(i):
-        if i == len(order):
-            return True
-        key = order[i]
+    def fill(k):
+        key = order[k]
         for cone in candidates[key]:
             choice[key] = cone
-            if compatible() and rec(i + 1):
-                return True
-            del choice[key]
-        return False
+            if compatible():
+                yield
+        choice.pop(key, None)
 
-    if not rec(0):
-        raise ClassifierChoiceError("no strictly functorial choice of pullback squares")
-    squares = {}
-    for c in base.objects:
-        for u in base.arrows_into(c):
-            for a in stable[c]:
-                squares[(u, a)] = square(u, a)
-    return squares
+    for _ in backtrack(0, len(order), fill):
+        return {
+            (u, a): square(u, a)
+            for c in base.objects
+            for u in base.arrows_into(c)
+            for a in stable[c]
+        }
+    raise ClassifierChoiceError("no strictly functorial choice of pullback squares")
 
 
 def rep_map_classifier(base: FiniteCategory) -> ClassifierData:

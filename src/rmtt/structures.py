@@ -28,6 +28,7 @@ from .rfib import (
     arrows_iso_over,
     classify,
     enumerate_maps,
+    enumerate_maps_over,
     equalizer_of_maps,
     identity_map,
     is_representable_map,
@@ -310,7 +311,7 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
         if w is None:
             raise NotRepresentable("structures live on representable maps")
     base = typeof.base
-    El, Ty = typeof.source, typeof.target
+    Ty = typeof.target
     sh = structure_shape(typeof, w, kind)
     left = sh["left"]
     bottoms = None  # an IdPlus square need not be a pullback
@@ -328,19 +329,10 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
             return types[(o, x)]
 
     for bottom in enumerate_maps(sh["cod"], Ty, candidates=bottoms, budget=budget):
-
-        def over_bottom(o, y):
-            T = bottom.components[o][left.components[o][y]]
-            return [e for e in El.fibers[o] if typeof.components[o][e] == T]
-
-        for top in enumerate_maps(sh["dom"], El, candidates=over_bottom, budget=budget):
+        for top in enumerate_maps_over(left.then(bottom), typeof, budget=budget):
             if kind == "IdPlus":
                 compare, P, Q = id_plus_problem(typeof, w, bottom, top)
-
-                def preimages(o, x):
-                    return [p for p in P.fibers[o] if compare.components[o][p] == x]
-
-                for elim in enumerate_maps(Q, P, candidates=preimages, budget=budget):
+                for elim in enumerate_maps_over(identity_map(Q), compare, budget=budget):
                     cand = TypeStructure(kind, bottom, top, elim)
                     if _check(typeof, w, sh, cand)[0]:
                         return cand
@@ -447,7 +439,7 @@ def check_left_exact_universe(typeof: PshMap, w: ComprehensionWitness = None, bu
         if w is None:
             raise NotRepresentable("not a representable map")
     cert = {}
-    uni = is_univalent(typeof, w)
+    uni = is_univalent(typeof, w, budget=budget)
     cert["univalent"] = uni
     if not uni.ok:
         return False, cert

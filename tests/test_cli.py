@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -6,14 +7,18 @@ import sys
 import pytest
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, cwd=None):
+    # the CLI runs from this checkout's src/, as the tests do
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "rmtt.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc
 

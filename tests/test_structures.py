@@ -95,7 +95,15 @@ def test_criteria_reject_non_univalent(d1):
         structure_criteria(f, is_representable_map(f))
 
 
-def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch):
+@pytest.mark.parametrize(
+    "decide",
+    [
+        lambda cls: structure_criteria(cls.generic, cls.witness, kinds=("Unit",), budget=1234),
+        lambda cls: check_left_exact_universe(cls.generic, cls.witness, budget=1234),
+    ],
+    ids=["structure_criteria", "check_left_exact_universe"],
+)
+def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch, decide):
     import rmtt.structures as structures
 
     budgets = []
@@ -106,7 +114,7 @@ def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch):
         return real(f, wf, budget=budget)
 
     monkeypatch.setattr(structures, "is_univalent", spy)
-    structure_criteria(d1_cls.generic, d1_cls.witness, kinds=("Unit",), budget=1234)
+    decide(d1_cls)
     assert budgets == [1234]
 
 
