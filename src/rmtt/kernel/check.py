@@ -419,14 +419,16 @@ def normalize(sig: Signature, t, fuel=DEFAULT_FUEL):
     """Innermost rewriting to a normal form; idempotent on its results.
     Raises NormalizationBudget when the step budget runs out (or when a
     runaway rule tower exhausts the interpreter stack first)."""
-    cached = bounded(sig._nf_cache).get(t)
+    cache = sig._nf_cache
+    cached = cache.get(t)
     if cached is not None:
         return cached
+    bounded(cache)  # only a miss stores, so only a miss can reach the limit
     budget = [fuel]
     try:
         nf = _norm(sig, t, budget)
-        sig._nf_cache[t] = nf
-        sig._nf_cache[nf] = nf
+        cache[t] = nf
+        cache[nf] = nf
     except RecursionError:
         raise NormalizationBudget("no normal form within budget (rewrite tower too deep)")
     return nf

@@ -258,8 +258,11 @@ def contexts_iso_subs(sig: Signature, a, b, size=4):
     budget."""
     if len(a) != len(b):
         return None
+    gs = None
     for f in enumerate_substitutions(sig, a, b, size):
-        for g in enumerate_substitutions(sig, b, a, size):
+        if gs is None:
+            gs = enumerate_substitutions(sig, b, a, size)
+        for g in gs:
             if hom_equal(sig, compose_subst(sig, f, g), identity_subst(b)) and hom_equal(
                 sig, compose_subst(sig, g, f), identity_subst(a)
             ):

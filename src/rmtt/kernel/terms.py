@@ -6,6 +6,15 @@ dependent products whose domain must be an application of a
 representable sort.  Terms are variables, fully applied constants,
 framework application and framework lambda.
 
+Expressions are hash-consed (Filliâtre and Conchon, *Type-safe modular
+hash-consing*, 2006): each constructor looks its class and fields up in
+one intern table and returns the live node already there, so equal
+expressions are one object, and `==` and `hash` are identity's, O(1)
+whatever the size.  Nodes cannot be assigned to, a `Const` or `SortApp`
+spine is always a tuple, and `repr` reads like a dataclass's,
+`Const(head='c', args=())`.  The table holds its nodes weakly, so it is
+bounded by the live terms.
+
 `map_vars` is the single traversal that rebuilds an expression by its
 variables: shifting, substitution, simultaneous instantiation and the
 closing of rule variables are each one `on_var` given to it.
@@ -19,42 +28,99 @@ of the matched subjects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+
+# Every live expression node, keyed by (class, *fields).  It holds its
+# nodes weakly, so a node leaves it with the last reference to it and the
+# table is bounded by the live terms; equal live nodes stay identical.
+_table = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
+class _Node:
+    """An interned expression node: built only through its class, never
+    assigned to, equal to another node only if it is that node."""
+
+    __slots__ = ("__weakref__",)
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: expressions are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: expressions are immutable")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
 
 
-@dataclass(frozen=True)
-class Const:
-    head: str
-    args: tuple = ()
+# a node is always true, so each constructor below is one lookup `or` _make
+_lookup = _table.get
 
 
-@dataclass(frozen=True)
-class App:
-    fun: object
-    arg: object
+def _make(cls, key, values):
+    """A new node of class cls with these field values, entered under key."""
+    node = object.__new__(cls)
+    for setter, value in zip(cls._setters, values):
+        setter(node, value)
+    _table[key] = node
+    return node
 
 
-@dataclass(frozen=True)
-class Lam:
-    dom: object  # TypeExpr
-    body: object
+class Var(_Node):
+    __slots__ = _fields = ("index",)
+
+    def __new__(cls, index):
+        key = (cls, index)
+        return _lookup(key) or _make(cls, key, (index,))
 
 
-@dataclass(frozen=True)
-class SortApp:
-    head: str
-    args: tuple = ()
+class Const(_Node):
+    __slots__ = _fields = ("head", "args")
+
+    def __new__(cls, head, args=()):
+        args = tuple(args)
+        key = (cls, head, args)
+        return _lookup(key) or _make(cls, key, (head, args))
 
 
-@dataclass(frozen=True)
-class PiType:
-    dom: object
-    cod: object
+class App(_Node):
+    __slots__ = _fields = ("fun", "arg")
+
+    def __new__(cls, fun, arg):
+        key = (cls, fun, arg)
+        return _lookup(key) or _make(cls, key, (fun, arg))
+
+
+class Lam(_Node):
+    __slots__ = _fields = ("dom", "body")  # dom is a TypeExpr
+
+    def __new__(cls, dom, body):
+        key = (cls, dom, body)
+        return _lookup(key) or _make(cls, key, (dom, body))
+
+
+class SortApp(_Node):
+    __slots__ = _fields = ("head", "args")
+
+    def __new__(cls, head, args=()):
+        args = tuple(args)
+        key = (cls, head, args)
+        return _lookup(key) or _make(cls, key, (head, args))
+
+
+class PiType(_Node):
+    __slots__ = _fields = ("dom", "cod")
+
+    def __new__(cls, dom, cod):
+        key = (cls, dom, cod)
+        return _lookup(key) or _make(cls, key, (dom, cod))
 
 
 def map_vars(t, on_var, depth=0):

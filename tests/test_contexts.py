@@ -1,4 +1,7 @@
+import pytest
+
 from rmtt.kernel import (
+    SHIPPED_SIGNATURES,
     Const,
     Declaration,
     Lam,
@@ -12,15 +15,18 @@ from rmtt.kernel import (
     enumerate_framework_contexts,
     enumerate_substitutions,
     enumerate_terms,
+    enumerate_types,
     hom_equal,
     identity_subst,
+    load_signature,
     polynomial_object,
     pretty,
     print_signature,
     slice_constant_names,
     slice_theory,
 )
-from rmtt.kernel.contexts import free_theory_on_context
+from rmtt.kernel import contexts
+from rmtt.kernel.contexts import contexts_iso_subs, free_theory_on_context
 
 
 def ext(sig, name="o"):
@@ -150,3 +156,68 @@ def test_context_isomorphism_detection(itth):
     assert contexts_isomorphic(sig, a, a)
     b = (SortApp("El", (Const("Unit"),)),)
     assert not contexts_isomorphic(sig, a, b)
+
+
+# ---------------------------------------------------------------------------
+# contexts_iso_subs against the version that enumerated g once per f
+# ---------------------------------------------------------------------------
+
+
+def reference_contexts_iso_subs(sig, a, b, size=4):
+    """Substitutions (f : a -> b, g : b -> a) composing to identities up
+    to rule convertibility, or None.  Exhaustive within the size
+    budget."""
+    if len(a) != len(b):
+        return None
+    for f in enumerate_substitutions(sig, a, b, size):
+        for g in enumerate_substitutions(sig, b, a, size):
+            if hom_equal(sig, compose_subst(sig, f, g), identity_subst(b)) and hom_equal(
+                sig, compose_subst(sig, g, f), identity_subst(a)
+            ):
+                return (f, g)
+    return None
+
+
+def candidate_contexts(sig):
+    """Every context enumerate_framework_contexts weighs at depth <= 2: its
+    own, and the extensions it drops as isomorphic to one it kept."""
+    kept = enumerate_framework_contexts(sig, 1)
+    return [()] + [ctx + (ty,) for ctx in kept for ty in enumerate_types(sig, ctx, 4)]
+
+
+@pytest.mark.parametrize("name", SHIPPED_SIGNATURES)
+def test_iso_subs_match_reference(name):
+    """Same pair, or None, on every pair of those contexts at every size up
+    to the default; each side runs on its own signature."""
+    new, ref = load_signature(name), load_signature(name)
+    ctxs = candidate_contexts(new)
+    assert set(enumerate_framework_contexts(new, 2)) <= set(ctxs)
+    found = 0
+    for a in ctxs:
+        for b in ctxs:
+            for size in range(1, 5):
+                got = contexts_iso_subs(new, a, b, size)
+                assert got == reference_contexts_iso_subs(ref, a, b, size), (a, b, size)
+                found += got is not None
+    assert found
+
+
+def test_iso_subs_enumerates_each_direction_once(itth, monkeypatch):
+    """The b -> a substitutions are listed once per call, and not at all
+    when there is no a -> b substitution."""
+    calls = []
+    enumerate = contexts.enumerate_substitutions
+
+    def counted(sig, src, tgt, size):
+        calls.append((src, tgt))
+        return enumerate(sig, src, tgt, size)
+
+    monkeypatch.setattr(contexts, "enumerate_substitutions", counted)
+    sig = ext(itth)
+    a = (SortApp("El", (Const("o"),)),)
+    b = (SortApp("El", (Const("Unit"),)),)
+    assert enumerate_substitutions(sig, a, b, 4) and not enumerate_substitutions(sig, b, a, 4)
+    for src, tgt, expected in [(a, a, [(a, a), (a, a)]), (a, b, [(a, b), (b, a)]), (b, a, [(b, a)])]:
+        calls.clear()
+        contexts_iso_subs(sig, src, tgt)
+        assert calls == expected, (src, tgt)
