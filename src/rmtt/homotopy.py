@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel.check import Declaration, Signature
-from .kernel.contexts import enumerate_terms, polynomial_object
+from .kernel.check import Declaration, Signature, check_type, normalize
+from .kernel.contexts import enumerate_terms, free_theory_on_context, polynomial_object
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many
 from .models import (
     ModelBudget,
@@ -207,8 +207,6 @@ def generating_cofibration(sig: Signature, n: int, top: str):
         tgt_ctx = polynomial_object(sig, n, "El")
     else:
         raise ValueError("top must be 'Ty' or 'El'")
-    from .kernel.contexts import free_theory_on_context
-
     src = free_theory_on_context(sig, src_ctx, prefix="gen")
     tgt = free_theory_on_context(sig, tgt_ctx, prefix="gen")
     return src, tgt, len(src_ctx)
@@ -258,23 +256,19 @@ def pushout_cofibration(base: Signature, cof: CofibrationPresentation, prefix="a
             target = SortApp("El", (arg,))
         else:
             raise ModelError("attachment top must be 'Ty' or 'El'")
-        from .kernel.check import normalize as _normalize
-
         tele = []
         for k, a in enumerate(families):
             arg = a
             for m in range(1, k + 1):
                 arg = App(arg, Var(k - m))
-            tele.append(_normalize(sig, SortApp("El", (arg,))))
-        target = target if isinstance(target, str) else _normalize(sig, target)
+            tele.append(normalize(sig, SortApp("El", (arg,))))
+        target = target if isinstance(target, str) else normalize(sig, target)
         name = f"{prefix}{counter}"
         while name in sig.decls:
             name += "'"
         counter += 1
         decl = Declaration(name, tuple(tele), target)
         probe = sig.extended([decl], note=f"pushout attachment {name}")
-        from .kernel.check import check_type
-
         ctx = ()
         for ty in decl.telescope:
             check_type(probe, ctx, ty)

@@ -180,17 +180,46 @@ def _tokenize(text):
     return tokens
 
 
+# Input nested more than MAX_NESTING levels deep is malformed.  A level is
+# a term or type inside another, or one more argument list applied to an
+# expression.  Resolution, infer_term, normalize and pretty each recurse a
+# few interpreter frames per level, so input within the limit stays well
+# inside Python's default stack limit in all of them.
+MAX_NESTING = 200
+
+
+def _nested(parse):
+    """A parse method whose call is one level of nesting."""
+
+    def counted(self):
+        self.nest()
+        try:
+            return parse(self)
+        finally:
+            self.nesting -= 1
+
+    return counted
+
+
 class _Parser:
     """Produces a raw named syntax; names are resolved afterwards."""
 
     def __init__(self, text):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
+
+    def nest(self):
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            t = self.peek()
+            raise ParseError(f"expression nested too deeply (over {MAX_NESTING} levels)", t[2], t[3])
 
     @contextmanager
     def depth_guard(self):
         """Input nested past the interpreter's stack, while parsing or
-        resolving it, is a ParseError at the token reached."""
+        resolving it, is a ParseError at the token reached.  The nesting
+        limit comes first; this is the backstop."""
         try:
             yield
         except RecursionError:
@@ -278,6 +307,7 @@ class _Parser:
             self.expect("sym", ")")
             return out
 
+    @_nested
     def parse_type(self):
         if self.at_sym("(") and self._looks_like_binding():
             group = self.parse_binding_group()
@@ -305,6 +335,7 @@ class _Parser:
         self.expect("sym", ")")
         return args
 
+    @_nested
     def parse_term(self):
         t = self.peek()
         if t[0] == "sym" and t[1] == "\\":
@@ -327,8 +358,11 @@ class _Parser:
         return self._trailers(expr)
 
     def _trailers(self, expr):
+        outer = self.nesting
         while self.at_sym("("):
+            self.nest()
             expr = ("apply", expr, self.parse_args())
+        self.nesting = outer
         return expr
 
 

@@ -275,23 +275,44 @@ def contexts_isomorphic(sig: Signature, a, b, size=4) -> bool:
     return contexts_iso_subs(sig, a, b, size) is not None
 
 
+def search_contexts(sig: Signature, depth, type_size=4, rep_only=True, iso_size=4):
+    """Contexts up to the given length, grown one layer at a time and
+    deduplicated up to isomorphism: each extension of a context kept in
+    the last layer by a type of size <= type_size (a representable one
+    with rep_only) is kept unless it is isomorphic, by substitutions of
+    size <= iso_size, to one already kept in its layer.
+
+    Returns the kept contexts in canonical order, the empty one first,
+    and the map (kept index, extension type) -> (index of the kept
+    representative, f, g) for every extension weighed, where
+    f : extension -> representative and g back compose to identities
+    (both identities when the extension was kept)."""
+    kept = [()]
+    ext = {}
+    frontier = [0]
+    for _ in range(depth):
+        new = []
+        for i in frontier:
+            for ty in enumerate_types(sig, kept[i], type_size, rep_only=rep_only):
+                cand = kept[i] + (ty,)
+                for j in new:
+                    subs = contexts_iso_subs(sig, cand, kept[j], iso_size)
+                    if subs is not None:
+                        ext[(i, ty)] = (j,) + subs
+                        break
+                else:
+                    new.append(len(kept))
+                    kept.append(cand)
+                    ident = identity_subst(cand)
+                    ext[(i, ty)] = (new[-1], ident, ident)
+        frontier = new
+    return kept, ext
+
+
 def enumerate_contexts(sig: Signature, depth, type_size=4):
     """Contexts of representable types up to the given length, in
     canonical order, deduplicated up to isomorphism."""
-    layers = [[()]]
-    for _ in range(depth):
-        new = []
-        for ctx in layers[-1]:
-            for ty in enumerate_types(sig, ctx, type_size, rep_only=True):
-                cand = ctx + (ty,)
-                if any(contexts_isomorphic(sig, cand, kept) for kept in new):
-                    continue
-                new.append(cand)
-        layers.append(new)
-    out = []
-    for layer in layers:
-        out.extend(layer)
-    return out
+    return search_contexts(sig, depth, type_size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +433,4 @@ def enumerate_framework_contexts(sig: Signature, depth, type_size=4):
     """Contexts whose entries are sort or representable-sort applications
     (no product entries), up to the given length.  The internal-language
     and correspondence checks quantify over these."""
-    layers = [[()]]
-    for _ in range(depth):
-        new = []
-        for ctx in layers[-1]:
-            for ty in enumerate_types(sig, ctx, type_size, rep_only=False):
-                cand = ctx + (ty,)
-                if any(contexts_isomorphic(sig, cand, kept) for kept in new):
-                    continue
-                new.append(cand)
-        layers.append(new)
-    out = []
-    for layer in layers:
-        out.extend(layer)
-    return out
+    return search_contexts(sig, depth, type_size, rep_only=False)[0]

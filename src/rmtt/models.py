@@ -48,12 +48,12 @@ from .kernel.check import Signature, infer_term, normalize
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift
 from .kernel.contexts import (
     compose_subst,
-    contexts_iso_subs,
     enumerate_framework_contexts,
     enumerate_substitutions,
     enumerate_terms,
     identity_subst,
     normalize_subst,
+    search_contexts,
     slice_theory,
 )
 
@@ -111,30 +111,21 @@ def env_list(env, n):
     return out
 
 
-def ctx_fiber(model: ModelData, ctx, c):
-    """Environments for the context at stage c, as nested pairs."""
+def ctx_fiber(model: ModelData, ctx, c, partial=False):
+    """Environments for the context at stage c, as nested pairs.  An
+    environment branch that falls outside a truncated model's depth
+    raises ModelBudget, or with partial is skipped."""
     if not ctx:
         return [()]
     out = []
-    for env in ctx_fiber(model, ctx[:-1], c):
-        for v in eval_type_fiber(model, ctx[:-1], ctx[-1], c, env):
-            out.append((env, v))
-    return out
-
-
-def ctx_fiber_partial(model: ModelData, ctx, c):
-    """Like ctx_fiber but skipping environment branches that fall outside
-    a truncated model's depth instead of failing the whole stage."""
-    if not ctx:
-        return [()]
-    out = []
-    for env in ctx_fiber_partial(model, ctx[:-1], c):
+    for env in ctx_fiber(model, ctx[:-1], c, partial):
         try:
             vals = eval_type_fiber(model, ctx[:-1], ctx[-1], c, env)
         except ModelBudget:
-            continue
-        for v in vals:
-            out.append((env, v))
+            if partial:
+                continue
+            raise
+        out.extend((env, v) for v in vals)
     return out
 
 
@@ -326,7 +317,7 @@ def check_model(sig: Signature, model: ModelData) -> ModelReport:
             continue
         table = model.term_values[d.name]
         stage_fibers = {
-            c: tuple(ctx_fiber_partial(model, d.telescope, c)) for c in model.base.objects
+            c: tuple(ctx_fiber(model, d.telescope, c, partial=True)) for c in model.base.objects
         }
         for c in model.base.objects:
             for te in stage_fibers[c]:
@@ -465,8 +456,7 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
 
     for d in sig.term_decls:
         name = d.name
-        if name in ("Unit", "tt", "Sig", "pair", "fst", "snd", "Id", "refl", "J", "K",
-                    "Pi", "lam", "app", "funext"):
+        if any(name in consts for consts in _STRUCTURE_CONSTANTS.values()):
             model.term_values[name] = _structure_value_table(model, d, structures, pullback_inverse, t, w)
         else:
             if not constants or name not in constants:
@@ -509,7 +499,6 @@ def _structure_value_table(model, decl, structures, pullback_inverse, t, w):
                 v = structures["Sigma"].top.components[c][(A, B, a, b)]
             elif name in ("fst", "snd"):
                 A, B, p = args
-                sig_val = structures["Sigma"].bottom.components[c][(A, B)]
                 quad = inv("Sigma")[(c, ((A, B), p))]
                 v = quad[2] if name == "fst" else quad[3]
             elif name == "Id":
@@ -702,55 +691,23 @@ def _weakening_subst(ctx):
     return tuple(Var(n - k) for k in range(n))
 
 
-def _enumerate_contexts_with_isos(sig: Signature, depth, type_size, subst_size):
-    """Representable contexts up to depth with, for every one-step
-    extension of a kept context, its kept representative and the
-    witnessing isomorphism pair."""
-    from .kernel.contexts import enumerate_types
-
-    kept = [()]
-    layer_of = {0: 0}
-    ext = {}  # (index, normalized extension type) -> (index, fwd, bwd)
-    frontier = [0]
-    for layer in range(depth):
-        new = []
-        for i in frontier:
-            ctx = kept[i]
-            for ty in enumerate_types(sig, ctx, type_size, rep_only=True):
-                cand = ctx + (ty,)
-                hit = None
-                for j in new:
-                    subs = contexts_iso_subs(sig, cand, kept[j], subst_size)
-                    if subs is not None:
-                        hit = (j, subs[0], subs[1])
-                        break
-                if hit is None:
-                    kept.append(cand)
-                    j = len(kept) - 1
-                    layer_of[j] = layer + 1
-                    new.append(j)
-                    ident = identity_subst(cand)
-                    hit = (j, ident, ident)
-                ext[(i, ty)] = hit
-        frontier = new
-    return kept, ext
-
-
 def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size=5,
                   max_arrows=3000, exposed_sig=None) -> ModelData:
     """The syntactic model at a depth: objects are enumerated contexts of
     representable types, arrows are substitutions up to rule
     convertibility, sort fibers are enumerated terms.  Comprehension
-    data at the depth boundary is partial; the model is depth-stamped."""
+    data at the depth boundary is partial; the model is depth-stamped.
+
+    Each composite, projection and action entry is computed once and
+    recorded; the tables are read off the records."""
     if subst_size is None:
         subst_size = term_size  # mediating arrows are built from fiber terms
-    ctxs, ext = _enumerate_contexts_with_isos(sig, depth, type_size, subst_size)
+    ctxs, ext = search_contexts(sig, depth, type_size, iso_size=subst_size)
     obj_ids = [f"G{i}" for i in range(len(ctxs))]
-    ctx_of = {obj_ids[i]: ctxs[i] for i in range(len(ctxs))}
 
     # arrows: substitution classes, closed under composition
     arrows = {}  # (i, j, subst) in normal form -> arrow id
-    by_pair = {}
+    leaving = [[] for _ in ctxs]  # i -> [(j, subst, arrow id)] in arrow order
 
     def add_arrow(i, j, sub):
         key = (i, j, sub)
@@ -760,7 +717,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
             raise ModelBudget("arrow budget exhausted while closing under composition")
         aid = f"s{len(arrows)}"
         arrows[key] = aid
-        by_pair.setdefault((i, j), []).append((aid, sub))
+        leaving[i].append((j, sub, aid))
         return aid
 
     for i in range(len(ctxs)):
@@ -768,34 +725,29 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
             for sub in enumerate_substitutions(sig, ctxs[i], ctxs[j], subst_size):
                 add_arrow(i, j, normalize_subst(sig, sub))
     # force the comprehension projections into the arrow set
+    projections = {}  # (i, ty) -> (j, projection G_j -> G_i, generic term)
     for (i, ty), (j, fwd, bwd) in ext.items():
-        weaken = _weakening_subst(ctxs[i])
-        proj_sub = normalize_subst(sig, compose_subst(sig, bwd, weaken))
-        add_arrow(j, i, proj_sub)
-    changed = True
-    while changed:
-        changed = False
+        proj_sub = normalize_subst(sig, compose_subst(sig, bwd, _weakening_subst(ctxs[i])))
+        projections[(i, ty)] = (j, add_arrow(j, i, proj_sub), normalize(sig, bwd[-1]))
+    # a pass over every composable pair, until one adds no arrow; that
+    # pass leaves the whole table in `compose`.  An arrow added during a
+    # pass is a second factor from the next first factor on, and a first
+    # factor from the next pass on (the order of arrow ids depends on it)
+    composite = {}  # (a2, a1) -> a2 after a1, recorded when first computed
+    while True:
+        count = len(arrows)
+        compose = {}
         for (i, j, s1), a1 in list(arrows.items()):
-            for (j2, k, s2), a2 in list(arrows.items()):
-                if j2 != j:
-                    continue
-                comp = normalize_subst(sig, compose_subst(sig, s1, s2))
-                if (i, k, comp) not in arrows:
-                    add_arrow(i, k, comp)
-                    changed = True
+            for k, s2, a2 in list(leaving[j]):
+                if (a2, a1) not in composite:
+                    composite[(a2, a1)] = add_arrow(i, k, normalize_subst(sig, compose_subst(sig, s1, s2)))
+                compose[(a2, a1)] = composite[(a2, a1)]
+        if len(arrows) == count:
+            break
 
     arrow_list = [(aid, obj_ids[i], obj_ids[j]) for (i, j, _), aid in arrows.items()]
     arrow_sub = {aid: (i, j, s) for (i, j, s), aid in arrows.items()}
-    identities = {}
-    for i, ctx in enumerate(ctxs):
-        identities[obj_ids[i]] = arrows[(i, i, identity_subst(ctx))]
-    compose = {}
-    for (i, j, s1), a1 in arrows.items():
-        for (j2, k, s2), a2 in arrows.items():
-            if j2 != j:
-                continue
-            comp = normalize_subst(sig, compose_subst(sig, s1, s2))
-            compose[(arrows[(j, k, s2)], a1)] = arrows[(i, k, comp)]
+    identities = {obj_ids[i]: arrows[(i, i, identity_subst(ctx))] for i, ctx in enumerate(ctxs)}
     base = FiniteCategory(obj_ids, arrow_list, identities, compose)
 
     model = ModelData(base, obj_ids[0], sig, depth=depth, exposed_sig=exposed_sig)
@@ -811,18 +763,18 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 raise ModelError("sort telescopes must be sort applications")
         tele_obj = interpret_context(model, d.telescope)
         fibers = {}
+        instance = {}  # (c, te) -> the normalised sort instance over te
         for c in base.objects:
-            i = index_of[c]
             elems = []
             for te in tele_obj.fibers[c]:
                 args = tuple(raw[1] for raw in env_list(te, len(d.telescope)))
-                want = normalize(sig, SortApp(d.name, args))
-                for t in enumerate_terms(sig, ctxs[i], want, term_size):
-                    elems.append((te, t))
+                want = instance[(c, te)] = normalize(sig, SortApp(d.name, args))
+                elems.extend((te, t) for t in enumerate_terms(sig, ctxs[index_of[c]], want, term_size))
             fibers[c] = elems
-        # close fibers under the substitution action; `members` mirrors
-        # each fiber list as a set
+        # close fibers under the substitution action, recording each image
+        # when first computed; `members` mirrors each fiber list as a set
         members = {c: set(elems) for c, elems in fibers.items()}
+        images = {aid: {} for aid in arrow_sub}
         changed = True
         guard = 0
         while changed:
@@ -832,23 +784,21 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 raise ModelBudget("sort fibers failed to close under substitution")
             for aid, (i, j, sub) in arrow_sub.items():
                 # arrow G_i -> G_j acts fibers[G_j] -> fibers[G_i]
-                for (te, t) in list(fibers[obj_ids[j]]):
-                    te2 = ctx_act(model, d.telescope, aid, te) if d.telescope else ()
-                    t2 = normalize(sig, instantiate_many(t, sub))
-                    if (te2, t2) not in members[obj_ids[i]]:
-                        fibers[obj_ids[i]].append((te2, t2))
-                        members[obj_ids[i]].add((te2, t2))
+                image = images[aid]
+                for x in list(fibers[obj_ids[j]]):
+                    if x in image:
+                        continue
+                    te, t = x
+                    y = image[x] = (
+                        ctx_act(model, d.telescope, aid, te) if d.telescope else (),
+                        normalize(sig, instantiate_many(t, sub)),
+                    )
+                    if y not in members[obj_ids[i]]:
+                        fibers[obj_ids[i]].append(y)
+                        members[obj_ids[i]].add(y)
                         changed = True
         fibers = {c: tuple(sorted(fibers[c], key=lambda p: repr(p))) for c in base.objects}
-        action = {}
-        for aid, (i, j, sub) in arrow_sub.items():
-            action[aid] = {
-                (te, t): (
-                    ctx_act(model, d.telescope, aid, te) if d.telescope else (),
-                    normalize(sig, instantiate_many(t, sub)),
-                )
-                for (te, t) in fibers[obj_ids[j]]
-            }
+        action = {aid: {x: images[aid][x] for x in fibers[base.tgt[aid]]} for aid in arrow_sub}
         total = Presheaf(base, fibers, action)
         family = PshMap(total, tele_obj,
                         {c: {(te, t): te for (te, t) in fibers[c]} for c in base.objects},
@@ -856,26 +806,13 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         witness = None
         if d.is_rep_sort:
             data = {}
-            fiber_sets = {c: set(fibers[c]) for c in base.objects}
-            for c in base.objects:
-                i = index_of[c]
-                for te in tele_obj.fibers[c]:
-                    args = tuple(raw[1] for raw in env_list(te, len(d.telescope)))
-                    ty = normalize(sig, SortApp(d.name, args))
-                    hit = ext.get((i, ty))
-                    if hit is None:
-                        continue
-                    j, fwd, bwd = hit
-                    weaken = _weakening_subst(ctxs[i])
-                    proj_sub = normalize_subst(sig, compose_subst(sig, bwd, weaken))
-                    gen_term = normalize(sig, bwd[-1])
-                    proj_aid = arrows.get((j, i, proj_sub))
-                    if proj_aid is None:
-                        continue
-                    te_j = ctx_act(model, d.telescope, proj_aid, te) if d.telescope else ()
-                    gen = (te_j, gen_term)
-                    if gen not in fiber_sets[obj_ids[j]]:
-                        continue
+            for (c, te), ty in instance.items():
+                hit = projections.get((index_of[c], ty))
+                if hit is None:
+                    continue
+                j, proj_aid, gen_term = hit
+                gen = (ctx_act(model, d.telescope, proj_aid, te) if d.telescope else (), gen_term)
+                if gen in members[obj_ids[j]]:
                     data[(c, te)] = (obj_ids[j], proj_aid, gen)
             witness = ComprehensionWitness(family, data)
         model.sorts[d.name] = SortInterp(d.telescope, tele_obj, total, family, witness, d.is_rep_sort)
@@ -884,7 +821,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         table = {}
         for c in base.objects:
             i = index_of[c]
-            for te in ctx_fiber_partial(model, d.telescope, c):
+            for te in ctx_fiber(model, d.telescope, c, partial=True):
                 try:
                     args = _te_to_terms(model, d.telescope, te, i)
                     t = normalize(sig, Const(d.name, tuple(args)))
@@ -912,7 +849,6 @@ def _raw_to_term(model: ModelData, ty, raw, ctx_index):
     if isinstance(ty, SortApp):
         return raw[1]
     if isinstance(ty, PiType):
-        ctxs = model.extras["contexts"]
         ext = model.extras["extensions"]
         dom = normalize(sig, ty.dom)
         hit = ext.get((ctx_index, dom))
@@ -944,7 +880,6 @@ def _term_to_raw(model: ModelData, ctx_index, t, ty):
             raise ModelBudget("term outside the enumerated fiber")
         return elem
     if isinstance(ty, PiType):
-        ctxs = model.extras["contexts"]
         ext = model.extras["extensions"]
         dom = normalize(sig, ty.dom)
         hit = ext.get((ctx_index, dom))
@@ -953,7 +888,6 @@ def _term_to_raw(model: ModelData, ctx_index, t, ty):
         j, fwd, bwd = hit
         # the value at the generic point: apply to the new variable, then
         # translate along the representative iso
-        n = len(ctxs[ctx_index])
         body = App(shift(t, 1), Var(0)) if not isinstance(t, Lam) else t.body
         body_rep = normalize(sig, instantiate_many(body, bwd))
         cod_rep = normalize(sig, instantiate_many(ty.cod, bwd))
@@ -1001,14 +935,12 @@ def map_value(m: ModelMorphism, ctx, ty, c, env, v):
     which maps recursively and then transports along the (invertible)
     comparison between the image of the source comprehension and the
     target comprehension."""
-    from .kernel.check import normalize as _normalize
-
     M, N = m.source, m.target
-    ty = _normalize(M.sig, ty)
+    ty = normalize(M.sig, ty)
     if isinstance(ty, SortApp):
         return m.on(ty.head, c, v)
     if isinstance(ty, PiType):
-        dom = _normalize(M.sig, ty.dom)
+        dom = normalize(M.sig, ty.dom)
         siM = M.sorts[dom.head]
         siN = N.sorts[dom.head]
         te = _spine_env(M, ctx, dom.args, c, env)

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from rmtt.kernel.check import MAX_NESTING
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -313,6 +315,26 @@ def test_deep_nesting_is_malformed(args, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "malformed"
     assert "nested too deeply" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("levels", [MAX_NESTING, MAX_NESTING + 1], ids=["at-limit", "past-limit"])
+def test_normalize_nesting_limit(levels, tmp_path):
+    """f(f(...c...)) with MAX_NESTING levels normalizes, and one level more
+    is malformed; neither may end in a traceback from a recursive pass
+    (normalize, pretty) that runs out of stack."""
+    sig = tmp_path / "endo.sig"
+    sig.write_text("Ty : sort\nEl : (x : Ty) -> rep-sort\nA : Ty\nc : El(A)\nf : (x : El(A)) -> El(A)\n")
+    term = "f(" * (levels - 1) + "c" + ")" * (levels - 1)
+    out = tmp_path / "r.json"
+    proc = run_cli("normalize", str(sig), term, "--out", str(out))
+    assert "Traceback" not in proc.stderr
+    res = json.loads(out.read_text())["result"]
+    if levels == MAX_NESTING:
+        assert proc.returncode == 0
+        assert res["normal_form"] == term
+    else:
+        assert proc.returncode == 2
+        assert "nested too deeply" in res["error"]
 
 
 @pytest.mark.parametrize(
