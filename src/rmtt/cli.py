@@ -20,6 +20,7 @@ from .kernel import (
     NormalizationBudget,
     ParseError,
     check_signature,
+    infer_term,
     normalize,
     parse_signature,
     parse_term_text,
@@ -106,6 +107,9 @@ def cmd_normalize(run, args):
         text, _ = _read_sig(args.signature)
         sig = parse_signature(text)
         term = parse_term_text(sig, args.term)
+        infer_term(sig, (), term)
+    except NormalizationBudget as e:
+        return run.finish(INCONCLUSIVE, {"error": str(e)})
     except (OSError, KernelError) as e:
         return run.finish(MALFORMED, {"error": str(e)})
     run.add_input("signature", args.signature)

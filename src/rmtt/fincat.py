@@ -225,11 +225,6 @@ def find_terminal(cat: FiniteCategory):
     return None
 
 
-def hom_set(cat: FiniteCategory, a, b):
-    """All arrows a -> b in declared arrow order."""
-    return list(cat.hom(a, b))
-
-
 def is_pullback_cone(cat: FiniteCategory, f, g, apex, pf, pg) -> bool:
     """Exhaustively verify that (apex, pf, pg) is universal for the cospan (f, g)."""
     if cat.comp(f, pf) != cat.comp(g, pg):
@@ -353,12 +348,4 @@ def chain_poset(n: int) -> FiniteCategory:
         for (g, gs, gt) in arrows:
             if fs == gt:
                 compose[(f, g)] = name[(gs, ft)]
-    return FiniteCategory(objects, arrows, identities, compose)
-
-
-def discrete_category(n: int) -> FiniteCategory:
-    objects = [str(i) for i in range(n)]
-    arrows = [(f"id{i}", str(i), str(i)) for i in range(n)]
-    identities = {str(i): f"id{i}" for i in range(n)}
-    compose = {(f"id{i}", f"id{i}"): f"id{i}" for i in range(n)}
     return FiniteCategory(objects, arrows, identities, compose)

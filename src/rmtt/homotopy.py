@@ -1,5 +1,5 @@
-"""Display maps, homotopy equivalences, free extensions and the lifting
-calculus for models and presented theories.
+"""Homotopy equivalences, free extensions and the lifting calculus for
+models and presented theories.
 
 Presented theories are signature extensions of a shipped base; a free
 extension attaches one generator per step (a chain of type families,
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel.check import Declaration, Signature, check_type, normalize
-from .kernel.contexts import enumerate_terms, free_theory_on_context, polynomial_object
+from .kernel.contexts import enumerate_terms
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many
 from .models import (
     ModelBudget,
@@ -27,42 +27,8 @@ from .models import (
 
 
 # ---------------------------------------------------------------------------
-# display maps and homotopies in a model
+# homotopies in a model
 # ---------------------------------------------------------------------------
-
-
-def display_maps(model: ModelData, budget=100000):
-    """Base arrows isomorphic over their target to a comprehension
-    projection of some representable-sort instance."""
-    base = model.base
-    out = set()
-    steps = 0
-    projections = []
-    for name, si in model.sorts.items():
-        if not si.rep or si.witness is None:
-            continue
-        for (c, te), (obj, proj, gen) in si.witness.data.items():
-            projections.append((c, obj, proj))
-    for h in base.arrow_ids:
-        d, c = base.src[h], base.tgt[h]
-        for (pc, pobj, proj) in projections:
-            if pc != c:
-                continue
-            for j in base.hom(d, pobj):
-                steps += 1
-                if steps > budget:
-                    raise ModelBudget("display-map search budget exhausted")
-                if base.comp(proj, j) != h:
-                    continue
-                if any(
-                    base.comp(j, k) == base.id_of(pobj) and base.comp(k, j) == base.id_of(d)
-                    for k in base.hom(pobj, d)
-                ):
-                    out.add(h)
-                    break
-            if h in out:
-                break
-    return out
 
 
 def _chain_presentations(model: ModelData, max_len):
@@ -148,7 +114,7 @@ def homotopic_arrows(model: ModelData, u, v, chains=None):
     return Verdict("yes", witnesses)
 
 
-def weak_equivalence(model: ModelData, f, budget=100000) -> Verdict:
+def weak_equivalence(model: ModelData, f) -> Verdict:
     """Is the base arrow a homotopy equivalence for the model's identity
     types?  Exhaustive over inverse candidates; 'no' only when every
     candidate failed decisively."""
@@ -191,25 +157,6 @@ class CofibrationPresentation:
     @staticmethod
     def of(*attachments):
         return CofibrationPresentation(tuple(attachments))
-
-
-def generating_cofibration(sig: Signature, n: int, top: str):
-    """The free-extension inclusion at stage n: for top='Ty' the chain of
-    n families includes into the chain plus one more family; for
-    top='El' the chain plus a family includes into that plus a generic
-    element.  Returns (source signature, target signature, shared
-    prefix length)."""
-    if top == "Ty":
-        src_ctx = polynomial_object(sig, n, "unit")
-        tgt_ctx = polynomial_object(sig, n, "Ty")
-    elif top == "El":
-        src_ctx = polynomial_object(sig, n, "Ty")
-        tgt_ctx = polynomial_object(sig, n, "El")
-    else:
-        raise ValueError("top must be 'Ty' or 'El'")
-    src = free_theory_on_context(sig, src_ctx, prefix="gen")
-    tgt = free_theory_on_context(sig, tgt_ctx, prefix="gen")
-    return src, tgt, len(src_ctx)
 
 
 def _subst_constants(expr, mapping):

@@ -22,14 +22,11 @@ from .check import (
     parse_and_check,
     parse_signature,
     parse_term_text,
-    parse_type_text,
     print_signature,
 )
 from .contexts import (
-    BudgetExhausted,
     apply_subst,
     check_context,
-    check_subst,
     compose_subst,
     contexts_isomorphic,
     enumerate_contexts,
@@ -37,13 +34,9 @@ from .contexts import (
     enumerate_substitutions,
     enumerate_terms,
     enumerate_types,
-    free_theory_on_context,
     hom_equal,
     identity_subst,
-    is_rep_context,
     normalize_subst,
-    polynomial_object,
-    slice_constant_names,
     slice_theory,
     term_pool,
 )

@@ -803,13 +803,3 @@ def parse_term_text(sig: Signature, text: str, context_names=()):
             t = parser.peek()
             raise ParseError("trailing input after term", t[2], t[3])
         return _Resolver(sig.decls).term(raw, list(context_names))
-
-
-def parse_type_text(sig: Signature, text: str, context_names=()):
-    parser = _Parser(text)
-    with parser.depth_guard():
-        raw = parser.parse_type()
-        if parser.peek()[0] != "eof":
-            t = parser.peek()
-            raise ParseError("trailing input after type", t[2], t[3])
-        return _Resolver(sig.decls).type(raw, list(context_names))

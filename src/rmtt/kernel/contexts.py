@@ -10,15 +10,11 @@ downstream (initial models, lifting checks) is deterministic.
 from __future__ import annotations
 
 from .check import (
-    KernelError,
     NormalizationBudget,
     Declaration,
     Signature,
-    TypeCheckError,
     bounded,
-    check_term,
     check_type,
-    is_rep_type,
     normalize,
 )
 from .terms import (
@@ -34,10 +30,6 @@ from .terms import (
 )
 
 
-class BudgetExhausted(KernelError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # contexts and substitutions
 # ---------------------------------------------------------------------------
@@ -48,10 +40,6 @@ def check_context(sig: Signature, ctx) -> None:
     for ty in ctx:
         check_type(sig, acc, ty)
         acc = acc + (ty,)
-
-
-def is_rep_context(sig: Signature, ctx) -> bool:
-    return all(is_rep_type(sig, ty) for ty in ctx)
 
 
 def identity_subst(ctx):
@@ -68,14 +56,6 @@ def apply_subst(sig: Signature, terms, expr):
 def compose_subst(sig: Signature, first, second):
     """first : G -> D, second : D -> H; result G -> H."""
     return tuple(apply_subst(sig, first, t) for t in second)
-
-
-def check_subst(sig: Signature, src, tgt, terms) -> None:
-    if len(terms) != len(tgt):
-        raise TypeCheckError("substitution has wrong length")
-    for k, t in enumerate(terms):
-        expected = instantiate_many(tgt[k], tuple(terms[:k]))
-        check_term(sig, tuple(src), t, expected)
 
 
 def hom_equal(sig: Signature, s1, s2) -> bool:
@@ -316,7 +296,7 @@ def enumerate_contexts(sig: Signature, depth, type_size=4):
 
 
 # ---------------------------------------------------------------------------
-# slices and the free-extension contexts
+# slices
 # ---------------------------------------------------------------------------
 
 
@@ -339,76 +319,6 @@ def slice_theory(sig: Signature, ctx, prefix="slice") -> Signature:
         items.append(Declaration(name, (), inst))
         names.append(name)
     return sig.extended(items, note=f"{prefix}: sliced at a context of length {len(ctx)}")
-
-
-def slice_constant_names(sig: Signature, sliced: Signature):
-    return [d.name for d in sliced.declarations() if d.name not in sig.decls]
-
-
-def _require_base_universe(sig: Signature):
-    ty = sig.decls.get("Ty")
-    el = sig.decls.get("El")
-    if (
-        ty is None
-        or el is None
-        or not ty.is_sort
-        or ty.arity != 0
-        or not el.is_rep_sort
-        or el.telescope != (SortApp("Ty"),)
-    ):
-        raise KernelError("signature must declare Ty : sort and El : (A : Ty) -> rep-sort")
-
-
-def polynomial_object(sig: Signature, n: int, top: str):
-    """The context presenting the n-fold free extension: a chain of n
-    type families, optionally topped by one more family (top='Ty') or a
-    family with a generic element (top='El')."""
-    _require_base_universe(sig)
-    if top not in ("unit", "Ty", "El"):
-        raise ValueError("top must be one of 'unit', 'Ty', 'El'")
-
-    def family_type(k):
-        """Type of the k-th family entry (k >= 1): a product over the
-        previous k-1 generic elements, valued in Ty."""
-
-        def build(j):
-            # j variables x_1..x_j already bound
-            if j == k - 1:
-                return SortApp("Ty")
-            # bind x_{j+1} : El(A_{j+1}(x_1, ..., x_j))
-            fam = Var((k - 1 - (j + 1)) + j)
-            arg = fam
-            for m in range(1, j + 1):
-                arg = App(arg, Var(j - m))
-            return PiType(SortApp("El", (arg,)), build(j + 1))
-
-        return build(0)
-
-    count = n if top == "unit" else n + 1
-    ctx = tuple(family_type(k) for k in range(1, count + 1))
-    if top == "El":
-        def build_el(j):
-            if j == n:
-                fam = Var(n)  # the (n+1)-th family under n binders
-                arg = fam
-                for m in range(1, n + 1):
-                    arg = App(arg, Var(n - m))
-                return SortApp("El", (arg,))
-            fam = Var((count - (j + 1)) + j)
-            arg = fam
-            for m in range(1, j + 1):
-                arg = App(arg, Var(j - m))
-            return PiType(SortApp("El", (arg,)), build_el(j + 1))
-
-        ctx = ctx + (build_el(0),)
-    check_context(sig, ctx)
-    return ctx
-
-
-def free_theory_on_context(sig: Signature, ctx, prefix="gen") -> Signature:
-    """The presented theory freely generated by the context: the base
-    signature extended by one constant per entry and nothing else."""
-    return slice_theory(sig, ctx, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------

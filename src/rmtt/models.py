@@ -44,8 +44,8 @@ from .rfib import (
     terminal_psh,
 )
 from .structures import find_structure, structure_shape
-from .kernel.check import Signature, infer_term, normalize
-from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift
+from .kernel.check import MAX_NESTING, Signature, infer_term, normalize
+from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift, term_size
 from .kernel.contexts import (
     compose_subst,
     enumerate_framework_contexts,
@@ -691,6 +691,13 @@ def _weakening_subst(ctx):
     return tuple(Var(n - k) for k in range(n))
 
 
+def _subst_size(sub):
+    """The largest term_size among a substitution's components: a bound
+    on how deeply they nest outside lambda domains, which term_size does
+    not count."""
+    return max(map(term_size, sub), default=0)
+
+
 def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size=5,
                   max_arrows=3000, exposed_sig=None) -> ModelData:
     """The syntactic model at a depth: objects are enumerated contexts of
@@ -708,6 +715,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
     # arrows: substitution classes, closed under composition
     arrows = {}  # (i, j, subst) in normal form -> arrow id
     leaving = [[] for _ in ctxs]  # i -> [(j, subst, arrow id)] in arrow order
+    size = {}  # arrow id -> _subst_size of its substitution
 
     def add_arrow(i, j, sub):
         key = (i, j, sub)
@@ -718,6 +726,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         aid = f"s{len(arrows)}"
         arrows[key] = aid
         leaving[i].append((j, sub, aid))
+        size[aid] = _subst_size(sub)
         return aid
 
     for i in range(len(ctxs)):
@@ -740,6 +749,11 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         for (i, j, s1), a1 in list(arrows.items()):
             for k, s2, a2 in list(leaving[j]):
                 if (a2, a1) not in composite:
+                    # s2 after s1 nests at most as deep as both together;
+                    # deeper, instantiating it could run out of stack
+                    if size[a1] + size[a2] > MAX_NESTING:
+                        raise ModelBudget(f"composite substitutions would nest past {MAX_NESTING} levels "
+                                          "while closing under composition")
                     composite[(a2, a1)] = add_arrow(i, k, normalize_subst(sig, compose_subst(sig, s1, s2)))
                 compose[(a2, a1)] = composite[(a2, a1)]
         if len(arrows) == count:

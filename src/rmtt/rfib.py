@@ -62,19 +62,8 @@ class Presheaf:
             if problems:
                 raise RfibError("invalid presheaf: " + "; ".join(problems[:3]))
 
-    def fiber(self, o):
-        return self.fibers[o]
-
-    def act(self, arrow, elem):
-        return self.action[arrow][elem]
-
     def total_size(self) -> int:
         return sum(len(f) for f in self.fibers.values())
-
-    def elements(self):
-        for o in self.base.objects:
-            for x in self.fibers[o]:
-                yield (o, x)
 
     def violations(self):
         """Messages for every failure of totality, closure, identity and
@@ -197,9 +186,6 @@ class PshMap:
     @property
     def base(self):
         return self.source.base
-
-    def at(self, o, x):
-        return self.components[o][x]
 
     def violations(self):
         out = []
@@ -483,26 +469,6 @@ def product_psh(X: Presheaf, Y: Presheaf):
     return lim, proj["l"], proj["r"]
 
 
-def coproduct_psh(X: Presheaf, Y: Presheaf):
-    base = X.base
-    fibers = {
-        o: tuple(("l", x) for x in X.fibers[o]) + tuple(("r", y) for y in Y.fibers[o])
-        for o in base.objects
-    }
-    action = {}
-    for a in base.arrow_ids:
-        t = base.tgt[a]
-        table = {}
-        for tag, v in fibers[t]:
-            src_psh = X if tag == "l" else Y
-            table[(tag, v)] = (tag, src_psh.action[a][v])
-        action[a] = table
-    C = Presheaf(base, fibers, action, validate=False)
-    inl = PshMap(X, C, {o: {x: ("l", x) for x in X.fibers[o]} for o in base.objects}, validate=False)
-    inr = PshMap(Y, C, {o: {y: ("r", y) for y in Y.fibers[o]} for o in base.objects}, validate=False)
-    return C, inl, inr
-
-
 def pullback_of_maps(f: PshMap, g: PshMap):
     """Pointwise pullback of the cospan f : X -> B <- Y : g.
 
@@ -559,13 +525,6 @@ def yoneda(base: FiniteCategory, c) -> Presheaf:
     return Presheaf(base, fibers, action, validate=False)
 
 
-def yoneda_map(base: FiniteCategory, f) -> PshMap:
-    """y(src f) -> y(tgt f), postcomposition with f."""
-    ya, yb = yoneda(base, base.src[f]), yoneda(base, base.tgt[f])
-    comps = {d: {g: base.comp(f, g) for g in ya.fibers[d]} for d in base.objects}
-    return PshMap(ya, yb, comps, validate=False)
-
-
 def element_map(X: Presheaf, c, x) -> PshMap:
     """The map y(c) -> X classifying the element x in the fiber over c."""
     yc = yoneda(X.base, c)
@@ -617,9 +576,6 @@ class ComprehensionWitness:
 
     def proj(self, c, y):
         return self.data[(c, y)][1]
-
-    def gen(self, c, y):
-        return self.data[(c, y)][2]
 
     def mediate(self, c, y, d, g, x):
         """The unique u : d -> obj(c,y) with proj . u = g and E(u)(gen) = x."""
@@ -691,15 +647,6 @@ def is_representable_map(f: PshMap):
             if data[(c, y)] is None:
                 return None
     return ComprehensionWitness(f, data)
-
-
-def unrepresentable_element(f: PshMap):
-    """First (c, y) in the target of f with no comprehension, or None."""
-    for c in f.base.objects:
-        for y in f.target.fibers[c]:
-            if _comprehension(f, c, y) is None:
-                return (c, y)
-    return None
 
 
 def _comprehension(f, c, y):
@@ -820,42 +767,6 @@ def pushforward_on_map(f: PshMap, wf, g1: PshMap, g2: PshMap, phi: PshMap,
             obj = wf.obj(c, y)
             comps[c][(y, x)] = (y, phi.components[obj][x])
     return PshMap(q1.source, q2.source, comps)
-
-
-def transpose_to_pushforward(f: PshMap, wf, g: PshMap, h: PshMap, phi: PshMap,
-                             q: PshMap = None) -> PshMap:
-    """Adjunction transpose: phi : h*-pullback -> X over dom(f) gives
-    dom(h) -> f_*X over the target of f.
-
-    Here the pullback of h along f is taken with (h-side, f-side) ids."""
-    if q is None:
-        q = pushforward(f, g, wf)
-    base = f.base
-    H = h.source
-    comps = {}
-    for c in base.objects:
-        comps[c] = {}
-        for w in H.fibers[c]:
-            y = h.components[c][w]
-            obj, proj, gen = wf.data[(c, y)]
-            comps[c][w] = (y, phi.components[obj][(H.action[proj][w], gen)])
-    return PshMap(H, q.source, comps)
-
-
-def transpose_from_pushforward(f: PshMap, wf, g: PshMap, h: PshMap, psi: PshMap) -> PshMap:
-    """Inverse transpose: psi : dom(h) -> f_*X over B gives a map from the
-    pullback of h along f (ids (h-side, f-side)) to X over dom(f)."""
-    base = f.base
-    P, ph, pf = pullback_of_maps(h, f)
-    X = g.source
-    comps = {}
-    for c in base.objects:
-        comps[c] = {}
-        for (w, e) in P.fibers[c]:
-            y, s = psi.components[c][w]
-            sigma = wf.unit_section(c, e)
-            comps[c][(w, e)] = X.action[sigma][s]
-    return PshMap(P, X, comps)
 
 
 def polynomial_apply(f: PshMap, X: Presheaf, wf: ComprehensionWitness = None) -> Presheaf:
@@ -1175,14 +1086,6 @@ def classify(f: PshMap, cls, wf: ComprehensionWitness = None, budget=500000) -> 
 # ---------------------------------------------------------------------------
 
 
-def _encode_map(phi: PshMap):
-    return tuple(
-        (str(o), str(x), str(phi.components[o][x]))
-        for o in phi.base.objects
-        for x in phi.source.fibers[o]
-    )
-
-
 def _pullback_along_element(f: PshMap, c, y) -> PshMap:
     """The pullback of f along the element y of its target over c, as a
     map to y(c)."""
@@ -1194,68 +1097,6 @@ def _pullback_along_element(f: PshMap, c, y) -> PshMap:
         {o: {(x, g): g for (x, g) in P.fibers[o]} for o in base.objects},
         validate=False,
     )
-
-
-def equiv_presheaf(f: PshMap, wf: ComprehensionWitness = None):
-    """The presheaf of fiberwise equivalences of a representable map,
-    over the product of its target with itself.
-
-    The fiber over a pair (b1, b2) at stage c is the set of
-    isomorphisms between the pullbacks of the source along b1 and b2
-    over y(c), encoded as bi-invertible tuples (map, left inverse,
-    right inverse).  Returns the projection PshMap to target x target."""
-    if wf is None:
-        wf = is_representable_map(f)
-        if wf is None:
-            raise NotRepresentable("equivalence presheaf of a non-representable map")
-    base = f.base
-    B = f.target
-    BB, pl, pr = product_psh(B, B)
-
-    pulls = {}
-
-    def pull(c, y):
-        if (c, y) not in pulls:
-            pulls[(c, y)] = _pullback_along_element(f, c, y)
-        return pulls[(c, y)]
-
-    fibers = {}
-    isos = {}
-    for c in base.objects:
-        elems = []
-        for (y1, y2) in BB.fibers[c]:
-            q1, q2 = pull(c, y1), pull(c, y2)
-            for phi in enumerate_maps_over(q1, q2, bijective=True):
-                inv = phi.inverse()
-                code = ((y1, y2), _encode_map(phi), _encode_map(inv), _encode_map(inv))
-                elems.append(code)
-                isos[code] = (c, y1, y2, phi)
-        fibers[c] = tuple(elems)
-
-    action = {}
-    for u in base.arrow_ids:
-        t = base.tgt[u]
-        d = base.src[u]
-        table = {}
-        for code in fibers[t]:
-            (y1, y2) = code[0]
-            c0, _, _, phi = isos[code]
-            z1, z2 = B.action[u][y1], B.action[u][y2]
-            P1d = pull(d, z1).source
-            comps = {}
-            for o in base.objects:
-                comps[o] = {}
-                for (x, g) in P1d.fibers[o]:
-                    x2, _ = phi.components[o][(x, base.comp(u, g))]
-                    comps[o][(x, g)] = (x2, g)
-            P2d = pull(d, z2).source
-            phi2 = PshMap(P1d, P2d, comps, validate=False)
-            inv2 = phi2.inverse()
-            table[code] = ((z1, z2), _encode_map(phi2), _encode_map(inv2), _encode_map(inv2))
-        action[u] = table
-    E = Presheaf(base, fibers, action)
-    proj = PshMap(E, BB, {o: {code: code[0] for code in fibers[o]} for o in base.objects}, validate=False)
-    return proj
 
 
 @dataclass

@@ -236,14 +236,6 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
     return compare, exp_A_El.source, Q
 
 
-def forced_id_plus_section(compare: PshMap) -> PshMap:
-    """When the comparison map is invertible (always so for a genuine
-    pullback identity square), its inverse is the unique eliminator."""
-    if not compare.is_iso():
-        raise RfibError("comparison map is not invertible; no forced section")
-    return compare.inverse()
-
-
 # ---------------------------------------------------------------------------
 # checking and searching structures
 # ---------------------------------------------------------------------------
@@ -412,23 +404,6 @@ def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("U
             "agree": (found is not None) == closure,
         }
     return report
-
-
-def uniqueness_check(typeof: PshMap, s1: TypeStructure, s2: TypeStructure, w: ComprehensionWitness = None) -> bool:
-    """Under univalence, two verified structures of one kind have equal
-    classifying (bottom) maps."""
-    if w is None:
-        w = is_representable_map(typeof)
-    uni = is_univalent(typeof, w)
-    if not uni.ok:
-        raise ValueError("uniqueness of structures is only guaranteed under univalence")
-    if s1.kind != s2.kind:
-        raise ValueError("cannot compare structures of different kinds")
-    ok1, why1 = check_structure(typeof, s1, w)
-    ok2, why2 = check_structure(typeof, s2, w)
-    if not (ok1 and ok2):
-        raise ValueError(f"uniqueness_check needs verified structures ({why1}; {why2})")
-    return s1.bottom == s2.bottom
 
 
 def check_left_exact_universe(typeof: PshMap, w: ComprehensionWitness = None, budget=500000):

@@ -15,8 +15,9 @@ from rmtt.rfib import (
     rep_map_classifier,
     terminal_psh,
     yoneda,
-    yoneda_map,
 )
+
+from constructions import yoneda_map
 
 
 def test_omega_fibers_delta1(d1_cls, d1):

@@ -384,3 +384,38 @@ def test_budget_escaping_enumeration_is_inconclusive(tmp_path):
     assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
     assert json.loads(out.read_text())["status"] == "inconclusive"
+
+
+# a sort of types, one type with an element and a free endomorphism of it
+ENDOMORPHISM = "Ty : sort\nEl : (A : Ty) -> rep-sort\nA : Ty\nc : El(A)\nf : (x : El(A)) -> El(A)\n"
+
+
+@pytest.mark.parametrize(
+    "term,error",
+    [("f(c)(c)", "non-function"), (r"\(x : Ty) => x", "representable sort")],
+    ids=["value-applied", "lambda-over-sort"],
+)
+def test_normalize_type_checks_its_term(term, error, tmp_path):
+    sig = tmp_path / "endo.sig"
+    sig.write_text(ENDOMORPHISM)
+    out = tmp_path / "r.json"
+    proc = run_cli("normalize", str(sig), term, "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert error in rep["result"]["error"]
+
+
+def test_initial_model_of_free_endomorphism_is_inconclusive(tmp_path):
+    # composing ever longer powers of f would nest past MAX_NESTING
+    # before the arrow budget runs out
+    sig = tmp_path / "endo.sig"
+    sig.write_text(ENDOMORPHISM)
+    out = tmp_path / "r.json"
+    proc = run_cli("--depth", "1", "initial-model", str(sig), "--out", str(out))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "inconclusive"
+    assert "nest past" in rep["result"]["error"]

@@ -1,5 +1,6 @@
 import pytest
 
+from rmtt.homotopy import added_constants
 from rmtt.kernel import (
     SHIPPED_SIGNATURES,
     Const,
@@ -19,14 +20,14 @@ from rmtt.kernel import (
     hom_equal,
     identity_subst,
     load_signature,
-    polynomial_object,
     pretty,
     print_signature,
-    slice_constant_names,
     slice_theory,
 )
 from rmtt.kernel import contexts
-from rmtt.kernel.contexts import contexts_iso_subs, free_theory_on_context
+from rmtt.kernel.contexts import contexts_iso_subs
+
+from constructions import polynomial_object
 
 
 def ext(sig, name="o"):
@@ -82,11 +83,11 @@ def test_substitution_composition_associative(itth):
 
 def test_slice_theory_unrolls_telescope(tthg):
     sl = slice_theory(tthg, (SortApp("Ty"),))
-    names = slice_constant_names(tthg, sl)
+    names = [d.name for d in added_constants(tthg, sl)]
     assert len(names) == 1
     assert sl.decls[names[0]].target == SortApp("Ty")
     sl2 = slice_theory(tthg, (SortApp("Ty"), SortApp("El", (Var(0),))))
-    names2 = slice_constant_names(tthg, sl2)
+    names2 = [d.name for d in added_constants(tthg, sl2)]
     assert len(names2) == 2
     assert sl2.decls[names2[1]].target == SortApp("El", (Const(names2[0]),))
 
@@ -137,7 +138,7 @@ def test_polynomial_object_shapes(tthg):
     assert len(ctx) == 4
     check_context(tthg, ctx)
     # the theory freely generated by it validates
-    free = free_theory_on_context(tthg, ctx)
+    free = slice_theory(tthg, ctx, prefix="gen")
     assert check_signature(print_signature(free)).ok
 
 

@@ -29,11 +29,12 @@ from rmtt.kernel import (
     load_signature,
     normalize,
     parse_signature,
-    polynomial_object,
     shift,
     term_size,
 )
 from rmtt.kernel import check
+
+from constructions import polynomial_object
 
 # ---------------------------------------------------------------------------
 # the reference: the generator enumerator as it was

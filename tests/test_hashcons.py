@@ -20,11 +20,12 @@ from rmtt.kernel import (
     enumerate_framework_contexts,
     enumerate_terms,
     enumerate_types,
-    polynomial_object,
     shipped_signature_text,
 )
 from rmtt.kernel import check, terms
 from rmtt.kernel.terms import expr_from_data, expr_to_data
+
+from constructions import polynomial_object
 from test_enumeration import SIGNATURES, TERM_SIZE, fresh, wanted_types
 
 # ---------------------------------------------------------------------------

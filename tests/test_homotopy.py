@@ -3,9 +3,7 @@ from rmtt.homotopy import (
     Attachment,
     CofibrationPresentation,
     added_constants,
-    display_maps,
     extension_morphisms,
-    generating_cofibration,
     is_trivial_fibration,
     pushout_cofibration,
     rlp_against_generating,
@@ -25,30 +23,6 @@ from rmtt.models import (
 
 def with_o(sig, names=("o",)):
     return sig.extended([Declaration(n, (), SortApp("Ty")) for n in names])
-
-
-def test_display_maps_etth1_model(etth1, d1):
-    m = classifier_model(etth1, d1)
-    dm = display_maps(m)
-    # identity arrows are display maps (the unit structure), and the
-    # comprehension projection u is one by definition
-    assert {"id0", "id1", "u"} <= dm
-
-
-def test_display_maps_exclude_unreached(tthg):
-    from rmtt.fincat import chain_poset
-    from rmtt.rfib import rep_map_classifier
-
-    base = chain_poset(2)
-    m = classifier_model(tthg, base)
-    dm = display_maps(m)
-    assert "a02" in dm and "a12" in dm
-    # closure properties at budget: identities present, composites present
-    for o in base.objects:
-        assert base.id_of(o) in dm
-    for (f, g), h in base.compose.items():
-        if f in dm and g in dm:
-            assert h in dm
 
 
 def test_weak_equivalence_identity_and_unit_comprehension(itth, d1):
@@ -77,25 +51,6 @@ def test_weak_equivalence_projection_with_two_rule_distinct_points(itth):
             proj = aid
     verdict = weak_equivalence(m, proj)
     assert verdict.status == "no"
-
-
-def test_generating_cofibrations_shapes(tthg):
-    src, tgt, n = generating_cofibration(tthg, 0, "Ty")
-    assert [d.name for d in added_constants(tthg, src)] == []
-    assert len(added_constants(tthg, tgt)) == 1
-    src, tgt, n = generating_cofibration(tthg, 0, "El")
-    assert len(added_constants(tthg, src)) == 1
-    assert len(added_constants(tthg, tgt)) == 2
-    src, tgt, n = generating_cofibration(tthg, 1, "Ty")
-    added = added_constants(tthg, tgt)
-    assert len(added) == 2
-    # the dependency is threaded: the second generator is a family over
-    # elements of the first
-    from rmtt.kernel import PiType
-
-    second = added[1].target
-    assert isinstance(second, PiType)
-    assert second.dom == SortApp("El", (Const(added[0].name),))
 
 
 def test_pushout_single_attachments(tthg):
@@ -184,19 +139,6 @@ def test_rlp_matches_direct_on_democratic_sources(itth):
         direct = type_term_lifting(m)
         brute = rlp_against_generating(m, 1)
         assert (direct["type_lifting"] and direct["term_lifting"]) == brute["rlp"]
-
-
-def test_display_map_right_cancellation(etth1):
-    # among display maps: if g and g.f are display, so is f
-    from rmtt.fincat import chain_poset
-    from rmtt.models import classifier_model as cm
-
-    for base in (delta1(), chain_poset(2)):
-        m = cm(etth1, base)
-        dm = display_maps(m)
-        for (g, f), h in base.compose.items():
-            if g in dm and h in dm:
-                assert f in dm, (base.objects, f, g, h)
 
 
 def test_cofibration_category_axioms_on_presentations(itth):

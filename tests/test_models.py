@@ -42,7 +42,7 @@ def test_classifier_model_validates(tthg, d1):
 
 
 def test_classifier_model_missing_terminal():
-    from rmtt.fincat import discrete_category
+    from constructions import discrete_category
 
     with pytest.raises(ModelError):
         classifier_model(load_signature("tthg"), discrete_category(2))

@@ -11,8 +11,9 @@ from rmtt.rfib import (
     element_map,
     terminal_psh,
     yoneda,
-    yoneda_map,
 )
+
+from constructions import yoneda_map
 
 
 def q_map(d1):

@@ -16,12 +16,12 @@ from rmtt.structures import (
     check_left_exact_universe,
     check_structure,
     find_structure,
-    forced_id_plus_section,
     id_plus_problem,
     structure_criteria,
     structure_shape,
-    uniqueness_check,
 )
+
+from constructions import coproduct_psh
 
 
 def test_unit_found_over_delta1_picks_the_identity(d1, d1_cls):
@@ -86,8 +86,6 @@ def test_criteria_match_search_over_chain2(chain2):
 
 
 def test_criteria_reject_non_univalent(d1):
-    from rmtt.rfib import coproduct_psh
-
     y1 = yoneda(d1, "1")
     C, _, _ = coproduct_psh(y1, y1)
     f = identity_map(C)
@@ -118,16 +116,6 @@ def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch, decide):
     assert budgets == [1234]
 
 
-def test_uniqueness_of_unit(d1_cls):
-    one_candidates = [
-        s
-        for s in [find_structure(d1_cls.generic, "Unit", d1_cls.witness)]
-        if s is not None
-    ]
-    s = one_candidates[0]
-    assert uniqueness_check(d1_cls.generic, s, s, d1_cls.witness)
-
-
 def test_unit_structures_all_share_bottom(d1, d1_cls):
     # exhaustive: every verified unit square has the same classifying map
     sh = structure_shape(d1_cls.generic, d1_cls.witness, "Unit")
@@ -145,7 +133,7 @@ def test_id_extends_to_id_plus(d1_cls):
     s = find_structure(d1_cls.generic, "Id", d1_cls.witness)
     compare, P, Q = id_plus_problem(d1_cls.generic, d1_cls.witness, s.bottom, s.top)
     assert compare.is_iso()
-    elim = forced_id_plus_section(compare)
+    elim = compare.inverse()
     cand = TypeStructure("IdPlus", s.bottom, s.top, elim)
     ok, why = check_structure(d1_cls.generic, cand, d1_cls.witness)
     assert ok, why
@@ -165,8 +153,6 @@ def test_left_exact_universe(d1_cls):
 
 
 def test_left_exact_universe_fails_on_doubled(d1):
-    from rmtt.rfib import coproduct_psh
-
     y1 = yoneda(d1, "1")
     C, _, _ = coproduct_psh(y1, y1)
     ok, cert = check_left_exact_universe(identity_map(C))
