@@ -52,7 +52,6 @@ from .models import (
 )
 from .rfib import (
     arrows_iso_over,
-    backtrack,
     classify,
     enumerate_maps,
     find_iso,
@@ -67,6 +66,7 @@ from .rfib import (
     terminal_psh,
     yoneda,
 )
+from .search import backtrack
 from .structures import structure_criteria
 
 

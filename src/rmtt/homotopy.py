@@ -24,6 +24,7 @@ from .models import (
     ModelError,
     ModelMorphism,
 )
+from .search import backtrack
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +236,9 @@ def extension_morphisms(base: Signature, ext: Signature, theory: Signature, size
     added generator to a term of the translated type in the target
     presentation.  Exhaustive within the size budget."""
     added = added_constants(base, ext)
-    results = []
+    mapping = {}
 
-    def go(mapping, k):
-        if k == len(added):
-            results.append(dict(mapping))
-            return
+    def fill(k):
         d = added[k]
         tele = tuple(_subst_constants(t, mapping) for t in d.telescope)
         target = d.target if isinstance(d.target, str) else _subst_constants(d.target, mapping)
@@ -248,11 +246,10 @@ def extension_morphisms(base: Signature, ext: Signature, theory: Signature, size
             raise ModelError("free extensions only add term generators")
         for t in enumerate_terms(theory, tele, target, size):
             mapping[d.name] = t  # an open term over the generator's telescope
-            go(mapping, k + 1)
+            yield
             del mapping[d.name]
 
-    go({}, 0)
-    return results
+    return [dict(mapping) for _ in backtrack(0, len(added), fill)]
 
 
 # ---------------------------------------------------------------------------

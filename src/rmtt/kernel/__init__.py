@@ -34,7 +34,6 @@ from .contexts import (
     enumerate_substitutions,
     enumerate_terms,
     enumerate_types,
-    hom_equal,
     identity_subst,
     normalize_subst,
     slice_theory,

@@ -9,6 +9,7 @@ downstream (initial models, lifting checks) is deterministic.
 
 from __future__ import annotations
 
+from ..search import backtrack
 from .check import (
     NormalizationBudget,
     Declaration,
@@ -56,13 +57,6 @@ def apply_subst(sig: Signature, terms, expr):
 def compose_subst(sig: Signature, first, second):
     """first : G -> D, second : D -> H; result G -> H."""
     return tuple(apply_subst(sig, first, t) for t in second)
-
-
-def hom_equal(sig: Signature, s1, s2) -> bool:
-    """Componentwise equality of normal forms."""
-    if len(s1) != len(s2):
-        return False
-    return all(normalize(sig, a) == normalize(sig, b) for a, b in zip(s1, s2))
 
 
 def normalize_subst(sig: Signature, terms):
@@ -215,37 +209,44 @@ def enumerate_types(sig: Signature, ctx, size, rep_only=False):
     return out
 
 
+def _substitutions(sig: Signature, src, tgt, size, keep=None):
+    """Substitutions src -> tgt with componentwise size <= size, in
+    canonical order: slot k takes each term of tgt[k], instantiated by
+    slots 0..k-1, that `keep(k, t)` accepts (every one without keep)."""
+    sub = [None] * len(tgt)
+
+    def fill(k):
+        want = normalize(sig, instantiate_many(tgt[k], tuple(sub[:k])))
+        for t in enumerate_terms(sig, src, want, size):
+            if keep is None or keep(k, t):
+                sub[k] = t
+                yield
+
+    for _ in backtrack(0, len(tgt), fill):
+        yield tuple(sub)
+
+
 def enumerate_substitutions(sig: Signature, src, tgt, size):
     """All substitutions src -> tgt with componentwise size <= size, in
     canonical order, one representative per componentwise normal form."""
-    results = []
-
-    def go(prefix, k):
-        if k == len(tgt):
-            results.append(tuple(prefix))
-            return
-        want = normalize(sig, instantiate_many(tgt[k], tuple(prefix)))
-        for t in enumerate_terms(sig, src, want, size):
-            go(prefix + [t], k + 1)
-
-    go([], 0)
-    return results
+    return list(_substitutions(sig, src, tgt, size))
 
 
 def contexts_iso_subs(sig: Signature, a, b, size=4):
     """Substitutions (f : a -> b, g : b -> a) composing to identities up
-    to rule convertibility, or None.  Exhaustive within the size
-    budget."""
+    to rule convertibility, or None: the first pair in canonical order.
+    Exhaustive within the size budget.  Component k of g . f is g_k[f],
+    so the search for g keeps g_k only when that is the variable the
+    identity has there, and checks f . g once g is complete."""
     if len(a) != len(b):
         return None
-    gs = None
-    for f in enumerate_substitutions(sig, a, b, size):
-        if gs is None:
-            gs = enumerate_substitutions(sig, b, a, size)
-        for g in gs:
-            if hom_equal(sig, compose_subst(sig, f, g), identity_subst(b)) and hom_equal(
-                sig, compose_subst(sig, g, f), identity_subst(a)
-            ):
+    ident_a, ident_b = identity_subst(a), identity_subst(b)
+    for f in _substitutions(sig, a, b, size):
+        def keep(k, t):
+            return apply_subst(sig, f, t) is ident_a[k]
+
+        for g in _substitutions(sig, b, a, size, keep):
+            if compose_subst(sig, g, f) == ident_b:
                 return (f, g)
     return None
 

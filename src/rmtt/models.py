@@ -36,13 +36,13 @@ from .rfib import (
     Presheaf,
     PshMap,
     RfibError,
-    backtrack,
     bang,
     is_representable,
     naturality_squares,
     require_distinct_fibers,
     terminal_psh,
 )
+from .search import backtrack
 from .structures import find_structure, structure_shape
 from .kernel.check import MAX_NESTING, Signature, infer_term, normalize
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift, term_size
@@ -1212,8 +1212,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
 
 
 def unique_morphism_from_initial(sig: Signature, depth, target: ModelData,
-                                 initial: ModelData = None, search_budget=2000000,
-                                 verify_unique=True):
+                                 initial: ModelData = None, verify_unique=True):
     """The canonical morphism built by sending each enumerated context to
     its interpretation's representing object, plus the confirmation that
     the exhaustive search finds exactly one morphism."""
@@ -1260,7 +1259,7 @@ def unique_morphism_from_initial(sig: Signature, depth, target: ModelData,
     report = check_morphism(sig, morphism)
     found = None
     if verify_unique:
-        found = enumerate_model_morphisms(sig, initial, target, budget=search_budget)
+        found = enumerate_model_morphisms(sig, initial, target)
     return morphism, report, found
 
 # ---------------------------------------------------------------------------

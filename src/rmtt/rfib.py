@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import FiniteCategory, pullback_in_base, is_pullback_cone
+from .search import backtrack
 
 
 class RfibError(Exception):
@@ -266,17 +267,6 @@ def identity_map(X: Presheaf) -> PshMap:
 # ---------------------------------------------------------------------------
 
 
-def backtrack(k, n, fill):
-    """Fill slots k..n-1 in order and yield once per complete filling.
-    `fill(k)` is a generator that assigns each accepted value of slot k
-    in turn and yields after each, undoing its assignment when done."""
-    if k == n:
-        yield
-        return
-    for _ in fill(k):
-        yield from backtrack(k + 1, n, fill)
-
-
 def naturality_squares(X: Presheaf, slot):
     """The naturality squares of a map out of X, each filed once under
     the slot assigned last: {k: [(i, j, a), ...]}.
@@ -375,38 +365,33 @@ def find_iso_over(q1: PshMap, q2: PshMap, budget=200000):
 
 def enumerate_subpresheaves(X: Presheaf, max_size=None):
     """All subpresheaves of X (fiberwise subsets closed under the action),
-    smallest first by total size."""
+    smallest first by total size.  Each element is a keep/drop slot,
+    keep tried first; u kept forces a.u kept, a constraint checked at the
+    later of the two slots, as for a naturality square."""
     base = X.base
-    slots = [(o, x) for o in base.objects for x in X.fibers[o]]
+    slot, n = {}, 0
+    for o in base.objects:
+        slot[o] = {x: n + i for i, x in enumerate(X.fibers[o])}
+        n += len(slot[o])
+    squares = naturality_squares(X, slot)
+    kept = [False] * n
+    count = 0
+
+    def fill(k):
+        nonlocal count
+        for keep in (True, False) if max_size is None or count < max_size else (False,):
+            kept[k] = keep
+            if all(kept[j] or not kept[i] for i, j, _ in squares.get(k, ())):
+                count += keep
+                yield
+                count -= keep
+
     results = []
-
-    def closed(sel):
-        for a in base.arrow_ids:
-            s, t = base.src[a], base.tgt[a]
-            for y in X.fibers[t]:
-                if (t, y) in sel and (s, X.action[a][y]) not in sel:
-                    return False
-        return True
-
-    import itertools
-
-    for r in range(len(slots) + 1):
-        if max_size is not None and r > max_size:
-            break
-        for combo in itertools.combinations(slots, r):
-            sel = set(combo)
-            if not closed(sel):
-                continue
-            fibers = {o: tuple(x for x in X.fibers[o] if (o, x) in sel) for o in base.objects}
-            action = {
-                a: {
-                    y: X.action[a][y]
-                    for y in X.fibers[base.tgt[a]]
-                    if (base.tgt[a], y) in sel
-                }
-                for a in base.arrow_ids
-            }
-            results.append(Presheaf(base, fibers, action, validate=False))
+    for _ in backtrack(0, n, fill):
+        fibers = {o: tuple(x for x in X.fibers[o] if kept[slot[o][x]]) for o in base.objects}
+        action = {a: {y: X.action[a][y] for y in fibers[base.tgt[a]]} for a in base.arrow_ids}
+        results.append(Presheaf(base, fibers, action, validate=False))
+    results.sort(key=Presheaf.total_size)  # stable: sets of one size stay in lexicographic order
     return results
 
 

@@ -1,10 +1,11 @@
 """Constructions only the tests use: small categories and presheaves to
-test against, the pushforward's adjunction transposes, and the context
-presenting a chain of type families.  They decide no claim of the
-package, so they live here rather than in `rmtt`."""
+test against, the pushforward's adjunction transposes, the context
+presenting a chain of type families, and equality of substitutions up
+to normal form.  They decide no claim of the package, so they live here
+rather than in `rmtt`."""
 
 from rmtt.fincat import FiniteCategory
-from rmtt.kernel import App, KernelError, PiType, Signature, SortApp, Var, check_context
+from rmtt.kernel import App, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
 from rmtt.rfib import Presheaf, PshMap, pullback_of_maps, pushforward, yoneda
 
 
@@ -152,3 +153,15 @@ def polynomial_object(sig: Signature, n: int, top: str):
         ctx = ctx + (build_el(0),)
     check_context(sig, ctx)
     return ctx
+
+
+# ---------------------------------------------------------------------------
+# substitutions
+# ---------------------------------------------------------------------------
+
+
+def hom_equal(sig: Signature, s1, s2) -> bool:
+    """Componentwise equality of normal forms."""
+    if len(s1) != len(s2):
+        return False
+    return all(normalize(sig, a) == normalize(sig, b) for a, b in zip(s1, s2))

@@ -17,7 +17,6 @@ from rmtt.kernel import (
     enumerate_substitutions,
     enumerate_terms,
     enumerate_types,
-    hom_equal,
     identity_subst,
     load_signature,
     pretty,
@@ -27,7 +26,7 @@ from rmtt.kernel import (
 from rmtt.kernel import contexts
 from rmtt.kernel.contexts import contexts_iso_subs
 
-from constructions import polynomial_object
+from constructions import hom_equal, polynomial_object
 
 
 def ext(sig, name="o"):
@@ -203,22 +202,47 @@ def test_iso_subs_match_reference(name):
     assert found
 
 
-def test_iso_subs_enumerates_each_direction_once(itth, monkeypatch):
-    """The b -> a substitutions are listed once per call, and not at all
-    when there is no a -> b substitution."""
-    calls = []
-    enumerate = contexts.enumerate_substitutions
+def test_iso_subs_searches_g_once_per_f(itth, monkeypatch):
+    """No b -> a candidate is built when there is no a -> b substitution,
+    and the search for g runs once for each f tried."""
+    searches = []
+    search = contexts._substitutions
 
-    def counted(sig, src, tgt, size):
-        calls.append((src, tgt))
-        return enumerate(sig, src, tgt, size)
+    def counted(sig, src, tgt, size, keep=None):
+        searches.append((src, tgt))
+        return search(sig, src, tgt, size, keep)
 
-    monkeypatch.setattr(contexts, "enumerate_substitutions", counted)
+    monkeypatch.setattr(contexts, "_substitutions", counted)
     sig = ext(itth)
     a = (SortApp("El", (Const("o"),)),)
     b = (SortApp("El", (Const("Unit"),)),)
-    assert enumerate_substitutions(sig, a, b, 4) and not enumerate_substitutions(sig, b, a, 4)
-    for src, tgt, expected in [(a, a, [(a, a), (a, a)]), (a, b, [(a, b), (b, a)]), (b, a, [(b, a)])]:
-        calls.clear()
+    fs = enumerate_substitutions(sig, a, b, 4)
+    assert fs and not enumerate_substitutions(sig, b, a, 4)
+    for src, tgt, expected in [
+        (a, a, [(a, a), (a, a)]),  # the first f, the identity, has an inverse
+        (a, b, [(a, b)] + [(b, a)] * len(fs)),
+        (b, a, [(b, a)]),
+    ]:
+        searches.clear()
         contexts_iso_subs(sig, src, tgt)
-        assert calls == expected, (src, tgt)
+        assert searches == expected, (src, tgt)
+
+
+@pytest.mark.parametrize("ctx", [
+    pytest.param((SortApp("Ty"), SortApp("El", (Const("Unit"),))), id="Ty-ElUnit"),
+    pytest.param((SortApp("Ty"), SortApp("Ty")), id="Ty-Ty", marks=pytest.mark.scale),
+])
+def test_iso_subs_match_reference_at_depth3(ctx):
+    """Same pair, or None, on every pair of the extensions that
+    enumerate_framework_contexts weighs at depth 3 on `itth` on top of
+    ctx, a context it keeps at depth 2."""
+    new, ref = load_signature("itth"), load_signature("itth")
+    assert ctx in enumerate_framework_contexts(new, 2)
+    ctxs = [ctx + (ty,) for ty in enumerate_types(new, ctx, 4)]
+    found = 0
+    for a in ctxs:
+        for b in ctxs:
+            got = contexts_iso_subs(new, a, b, 4)
+            assert got == reference_contexts_iso_subs(ref, a, b, 4), (a, b)
+            found += got is not None
+    assert found >= len(ctxs)
