@@ -256,14 +256,7 @@ def cmd_correspondence(run, args):
     name = args.signature if args.signature in ("tthg", "etth1", "itth", "itthpi") else None
     if name is None:
         return run.finish(MALFORMED, {"error": "correspondence runs on shipped signatures"})
-    import rmtt.acceptance as acc
-
-    saved = acc.SHIPPED
-    acc.SHIPPED = (name,)
-    try:
-        res = criterion_6(seed=args.seed, depth=args.depth)
-    finally:
-        acc.SHIPPED = saved
+    res = criterion_6(seed=args.seed, depth=args.depth, signatures=(name,))
     return run.finish(OK if res["ok"] else FAIL, res["detail"])
 
 

@@ -20,7 +20,7 @@ report a budget error instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fincat import (
     FiniteCategory,
@@ -139,11 +139,14 @@ def ctx_act(model: ModelData, ctx, u, env):
     return (prev2, v2)
 
 
-def _spine_env(model, ctx, args, c, env):
-    """Evaluate a spine into a telescope environment (nested pairs)."""
+def eval_subst(model, ctx, terms, c, env):
+    """Evaluate each term over ctx at (c, env) into a nested-pair
+    environment: the value of a substitution, or of a spine of
+    telescope arguments.  Every substitution the package evaluates in a
+    model goes through here."""
     te = ()
-    for a in args:
-        te = (te, eval_term(model, ctx, a, c, env))
+    for t in terms:
+        te = (te, eval_term(model, ctx, t, c, env))
     return te
 
 
@@ -151,7 +154,7 @@ def eval_type_fiber(model: ModelData, ctx, ty, c, env):
     ty = normalize(model.sig, ty)
     if isinstance(ty, SortApp):
         si = model.sort(ty.head)
-        te = _spine_env(model, ctx, ty.args, c, env)
+        te = eval_subst(model, ctx, ty.args, c, env)
         return [s for s in si.total.fibers[c] if si.family.components[c][s] == te]
     if isinstance(ty, PiType):
         obj, proj, gen, env2 = _generic_extension(model, ctx, ty.dom, c, env)
@@ -169,7 +172,7 @@ def _generic_extension(model, ctx, dom, c, env):
     si = model.sort(dom.head)
     if si.witness is None:
         raise ModelError(f"sort {dom.head!r} has no comprehension data")
-    te = _spine_env(model, ctx, dom.args, c, env)
+    te = eval_subst(model, ctx, dom.args, c, env)
     if (c, te) not in si.witness.data:
         raise ModelBudget(f"no comprehension for a {dom.head!r} instance at {c!r} within depth")
     obj, proj, gen = si.witness.data[(c, te)]
@@ -187,7 +190,7 @@ def eval_type_act(model: ModelData, ctx, ty, u, env, v):
         c = base.tgt[u]
         d = base.src[u]
         si = model.sort(ty.dom.head)
-        te = _spine_env(model, ctx, ty.dom.args, c, env)
+        te = eval_subst(model, ctx, ty.dom.args, c, env)
         obj, proj, gen = si.witness.data[(c, te)]
         te_d = si.tele_obj.action[u][te]
         if (d, te_d) not in si.witness.data:
@@ -205,7 +208,7 @@ def eval_term(model: ModelData, ctx, t, c, env):
         vals = env_list(env, len(ctx))
         return vals[len(ctx) - 1 - t.index]
     if isinstance(t, Const):
-        te = _spine_env(model, ctx, t.args, c, env)
+        te = eval_subst(model, ctx, t.args, c, env)
         return model.value(t.head, c, te)
     if isinstance(t, Lam):
         obj, proj, gen, env2 = _generic_extension(model, ctx, t.dom, c, env)
@@ -217,7 +220,7 @@ def eval_term(model: ModelData, ctx, t, c, env):
         vf = eval_term(model, ctx, t.fun, c, env)
         va = eval_term(model, ctx, t.arg, c, env)
         si = model.sort(fty.dom.head)
-        te = _spine_env(model, ctx, fty.dom.args, c, env)
+        te = eval_subst(model, ctx, fty.dom.args, c, env)
         if (c, te) not in si.witness.data:
             raise ModelBudget("no comprehension within depth")
         obj, proj, gen = si.witness.data[(c, te)]
@@ -305,7 +308,7 @@ def check_model(sig: Signature, model: ModelData) -> ModelReport:
                     missing += 1
         if missing and model.depth is None:
             wit_bad.append(f"{name}: {missing} elements without comprehension")
-        probs = si.witness.violations() if model.depth is None else _partial_witness_violations(si)
+        probs = si.witness.entry_violations()
         wit_bad += [f"{name}: {p}" for p in probs[:2]]
     rep.clauses.append(("comprehension", not wit_bad, "; ".join(wit_bad[:3])))
 
@@ -350,34 +353,6 @@ def check_model(sig: Signature, model: ModelData) -> ModelReport:
     rep.clauses.append(("values", not val_bad, "; ".join(val_bad[:3])))
     return rep
 
-
-def _partial_witness_violations(si: SortInterp):
-    """Universal-property check restricted to the entries that exist."""
-    out = []
-    w = si.witness
-    f = w.map
-    base = f.base
-    E, B = f.source, f.target
-    for (c, y), (obj, proj, gen) in w.data.items():
-        if base.src.get(proj) != obj or base.tgt.get(proj) != c:
-            out.append(f"projection endpoints wrong at {c!r}")
-            continue
-        if f.components[obj][gen] != B.action[proj][y]:
-            out.append(f"generic element does not lie over its instance at {c!r}")
-            continue
-        for d in base.objects:
-            for g in base.hom(d, c):
-                want = B.action[g][y]
-                for x in E.fibers[d]:
-                    if f.components[d][x] != want:
-                        continue
-                    hits = [
-                        u for u in base.hom(d, obj)
-                        if base.comp(proj, u) == g and E.action[u][gen] == x
-                    ]
-                    if len(hits) != 1:
-                        out.append(f"universal property fails at {c!r}")
-    return out
 
 # ---------------------------------------------------------------------------
 # classifier models
@@ -554,11 +529,10 @@ def _transport_generic_to(model, c, te, target_value, generic_value):
 def _iso_classes(base: FiniteCategory):
     iso = {o: {o} for o in base.objects}
     for a in base.arrow_ids:
-        s, t = base.src[a], base.tgt[a]
-        for b in base.hom(t, s):
-            if base.comp(a, b) == base.id_of(t) and base.comp(b, a) == base.id_of(s):
-                iso[s].add(t)
-                iso[t].add(s)
+        if base.inverse(a) is not None:
+            s, t = base.src[a], base.tgt[a]
+            iso[s].add(t)
+            iso[t].add(s)
     return iso
 
 
@@ -609,13 +583,7 @@ def heart(model: ModelData) -> ModelData:
 
 
 def heart_inclusion(model: ModelData) -> "ModelMorphism":
-    h = heart(model)
-    fun = FunctorData({o: o for o in h.base.objects}, {a: a for a in h.base.arrow_ids})
-    comps = {
-        name: {c: {x: x for x in h.sorts[name].total.fibers[c]} for c in h.base.objects}
-        for name in h.sorts
-    }
-    return ModelMorphism(h, model, fun, comps)
+    return replace(identity_morphism(heart(model)), target=model)
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +637,7 @@ def internal_language(model: ModelData, depth, type_size=5, subst_size=4) -> The
                 try:
                     table = {}
                     for env in values[i]:
-                        out = ()
-                        for k, t in enumerate(sub):
-                            out = (out, eval_term(model, src, t, model.terminal, env))
+                        out = eval_subst(model, src, sub, model.terminal, env)
                         if out not in tgt_set:
                             raise ModelError("substitution image escapes the enumerated fiber")
                         table[env] = out
@@ -842,7 +808,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                     want = normalize(sig, instantiate_many(d.target, tuple(args)))
                     v = _term_to_raw(model, i, t, want)
                     table[(c, te)] = v
-                except (ModelBudget, KeyError):
+                except ModelBudget:
                     continue
         model.term_values[d.name] = table
     return model
@@ -931,18 +897,6 @@ class ModelMorphism:
         return self.components[name][c][x]
 
 
-def map_te(m: ModelMorphism, tele_ctx, c, te):
-    """Map a telescope environment through the morphism (telescope
-    entries must be sort applications)."""
-    raws = env_list(te, len(tele_ctx))
-    out = ()
-    for ty, v in zip(tele_ctx, raws):
-        if not isinstance(ty, SortApp):
-            raise ModelError("cannot map a product-typed environment entry")
-        out = (out, m.on(ty.head, c, v))
-    return out
-
-
 def map_value(m: ModelMorphism, ctx, ty, c, env, v):
     """Map a value of a type through the morphism.  Sort values map by
     the components; a product value is its value at the generic point,
@@ -957,7 +911,7 @@ def map_value(m: ModelMorphism, ctx, ty, c, env, v):
         dom = normalize(M.sig, ty.dom)
         siM = M.sorts[dom.head]
         siN = N.sorts[dom.head]
-        te = _spine_env(M, ctx, dom.args, c, env)
+        te = eval_subst(M, ctx, dom.args, c, env)
         if (c, te) not in siM.witness.data:
             raise ModelBudget("no source comprehension within depth")
         obj, proj, gen = siM.witness.data[(c, te)]
@@ -1056,7 +1010,7 @@ def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
         for c in M.base.objects:
             fc = m.functor.object_map[c]
             for x in siM.total.fibers[c]:
-                want = map_te(m, siM.tele_ctx, c, siM.family.components[c][x])
+                want = map_env(m, siM.tele_ctx, c, siM.family.components[c][x])
                 if siN.family.components[fc][comp[c][x]] != want:
                     fam_bad.append(f"{name}: family compatibility fails at {c!r}")
                     break
@@ -1070,7 +1024,7 @@ def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
             continue
         for (c, te), (obj, proj, gen) in siM.witness.data.items():
             fc = m.functor.object_map[c]
-            te_n = map_te(m, siM.tele_ctx, c, te)
+            te_n = map_env(m, siM.tele_ctx, c, te)
             if siN.witness is None or (fc, te_n) not in siN.witness.data:
                 bc_skipped += 1
                 continue
@@ -1187,7 +1141,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         name, c, x = slots[k]
         siM, siN = M.sorts[name], N.sorts[name]
         try:
-            want = map_te(partial, siM.tele_ctx, c, siM.family.components[c][x])
+            want = map_env(partial, siM.tele_ctx, c, siM.family.components[c][x])
         except KeyError:
             return  # telescope mapping not decided yet (cannot happen in decl order)
         fc = omap[c]
@@ -1233,9 +1187,7 @@ def unique_morphism_from_initial(sig: Signature, depth, target: ModelData,
     for aid, (i, j, sub) in arrow_sub.items():
         Pj, gen_j = gens[obj_ids[j]]
         Pi, gen_i = gens[obj_ids[i]]
-        delta = ()
-        for t in sub:
-            delta = (delta, eval_term(target, ctxs[i], t, omap[obj_ids[i]], gen_i))
+        delta = eval_subst(target, ctxs[i], sub, omap[obj_ids[i]], gen_i)
         hits = [
             u
             for u in target.base.hom(omap[obj_ids[i]], omap[obj_ids[j]])
@@ -1380,9 +1332,22 @@ def _sort_doc_ok(sdoc, base) -> bool:
     )
 
 
+def _witness_rows_ok(base, witness) -> bool:
+    """Each row's projection goes from its object to its stage, its
+    instance lies in the telescope fibre at the stage and its generic
+    element in the total fibre at the object."""
+    total, tele = witness.map.source, witness.map.target
+    totals = {o: set(total.fibers[o]) for o in base.objects}
+    teles = {o: set(tele.fibers[o]) for o in base.objects}
+    return all(
+        base.src[proj] == obj and base.tgt[proj] == c and y in teles[c] and gen in totals[obj]
+        for (c, y), (obj, proj, gen) in witness.data.items()
+    )
+
+
 def model_from_json(doc: dict) -> ModelData:
     """Raises ValueError when doc does not have the shape model_to_json
-    writes, element ids and kernel expressions included."""
+    writes, element ids, kernel expressions and witness rows included."""
     from .kernel.check import parse_signature
     from .kernel.terms import expr_from_data
 
@@ -1417,6 +1382,7 @@ def model_from_json(doc: dict) -> ModelData:
                     for c, te, obj, proj, gen in sdoc["witness"]
                 },
             )
+            require_shape("model", {f"{name} witness rows": _witness_rows_ok(base, witness)})
         tele_ctx = tuple(expr_from_data(t) for t in sdoc["tele"])
         model.sorts[name] = SortInterp(tele_ctx, tele_obj, total, family, witness, sdoc["rep"])
     for name, rows in doc["terms"].items():

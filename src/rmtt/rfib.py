@@ -586,37 +586,31 @@ class ComprehensionWitness:
         return self.mediate(c, y, c, self.map.base.id_of(c), e)
 
     def violations(self):
+        B = self.map.target
+        missing = [f"no comprehension for {y!r} at {c!r}"
+                   for c in self.map.base.objects for y in B.fibers[c] if (c, y) not in self.data]
+        return missing + self.entry_violations()
+
+    def entry_violations(self):
+        """Problems with the entries present, in entry order: projection
+        endpoints, the instance and generic element in their fibres with
+        the generic element over the instance, and the universal
+        property.  A truncated model's partial witness is checked by
+        this alone."""
         out = []
         f, base = self.map, self.map.base
         E, B = f.source, f.target
         E_sets = {o: set(E.fibers[o]) for o in base.objects}
-        for c in base.objects:
-            for y in B.fibers[c]:
-                if (c, y) not in self.data:
-                    out.append(f"no comprehension for {y!r} at {c!r}")
-                    continue
-                obj, proj, gen = self.data[(c, y)]
-                if base.src.get(proj) != obj or base.tgt.get(proj) != c:
-                    out.append(f"projection of {y!r} at {c!r} has wrong endpoints")
-                    continue
-                if gen not in E_sets[obj] or f.components[obj][gen] != B.action[proj][y]:
-                    out.append(f"generic element of {y!r} at {c!r} does not lie over it")
-                    continue
-                for d in base.objects:
-                    for g in base.hom(d, c):
-                        want = B.action[g][y]
-                        for x in E.fibers[d]:
-                            if f.components[d][x] != want:
-                                continue
-                            hits = [
-                                u
-                                for u in base.hom(d, obj)
-                                if base.comp(proj, u) == g and E.action[u][gen] == x
-                            ]
-                            if len(hits) != 1:
-                                out.append(
-                                    f"universal property fails for {y!r} at {c!r} on ({g!r},{x!r})"
-                                )
+        B_sets = {o: set(B.fibers[o]) for o in base.objects}
+        for (c, y), (obj, proj, gen) in self.data.items():
+            if base.src.get(proj) != obj or base.tgt.get(proj) != c:
+                out.append(f"projection of {y!r} at {c!r} has wrong endpoints")
+            elif y not in B_sets[c]:
+                out.append(f"instance {y!r} at {c!r} is not in its fibre")
+            elif gen not in E_sets[obj] or f.components[obj][gen] != B.action[proj][y]:
+                out.append(f"generic element of {y!r} at {c!r} does not lie over it")
+            elif not _is_terminal_pair(f, c, y, obj, proj, gen):
+                out.append(f"universal property fails for {y!r} at {c!r}")
         return out
 
 

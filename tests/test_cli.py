@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import pathlib
@@ -278,6 +279,46 @@ def test_model_witness_rows_name_known_ids(tmp_path):
     model.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     _expect_malformed(run_cli("heart", str(model), "--out", str(out)), out, "model")
+
+
+@pytest.fixture(scope="module")
+def initial_model_doc(tmp_path_factory):
+    """A truncated model document that `check-model` accepts."""
+    from rmtt.kernel import load_signature
+    from rmtt.models import initial_model, model_to_json
+
+    doc = model_to_json(initial_model(load_signature("itth"), 1, type_size=4, term_size=4))
+    model = tmp_path_factory.mktemp("initial") / "m.json"
+    model.write_text(json.dumps(doc))
+    assert run_cli("check-model", str(model)).returncode == 0
+    return doc
+
+
+def _generic_outside_total_fibre(doc):
+    doc["sorts"]["El"]["witness"][0][4] = "nowhere"
+
+
+def _instance_outside_telescope_fibre(doc):
+    doc["sorts"]["El"]["witness"][0][1] = "nowhere"
+
+
+def _projection_between_other_objects(doc):
+    row = doc["sorts"]["El"]["witness"][0]
+    stage, obj = row[0], row[2]
+    row[3] = next(a["id"] for a in doc["base"]["arrows"] if (a["src"], a["tgt"]) != (obj, stage))
+
+
+@pytest.mark.parametrize("mutate", [_generic_outside_total_fibre, _instance_outside_telescope_fibre,
+                                    _projection_between_other_objects])
+@pytest.mark.parametrize("command", ["check-model", "heart", "il"])
+def test_model_witness_rows_checked(initial_model_doc, command, mutate, tmp_path):
+    doc = copy.deepcopy(initial_model_doc)
+    mutate(doc)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    _expect_malformed(run_cli(command, str(model), "--out", str(out)), out, "model")
+    assert json.loads(out.read_text())["result"]["error"].endswith("bad El witness rows")
 
 
 DEEP = 3000

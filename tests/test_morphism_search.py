@@ -1,29 +1,45 @@
 """The compiled-constraint morphism search against the generate-then-filter
 search it replaced, kept below verbatim as the reference: the same
 morphisms in the same order, the same outcome at small budgets and the
-same number of candidate images tried."""
+same number of candidate images tried.  The reference keeps its own copy
+of `map_te`, the sort-only environment map that `models.map_env` has
+replaced."""
 
 import pytest
 
-from rmtt.acceptance import SHIPPED
+from rmtt.acceptance import SHIPPED, _model_corpus
 from rmtt.corpus import span_category
 from rmtt.fincat import chain_poset, delta1, terminal_category
-from rmtt.kernel import Signature, load_signature
+from rmtt.kernel import Signature, SortApp, load_signature
 from rmtt.models import (
     FunctorData,
     ModelData,
+    ModelError,
     ModelMorphism,
     check_morphism,
     classifier_model,
     enumerate_model_morphisms,
+    env_list,
     heart_inclusion,
     initial_model,
-    map_te,
+    unique_morphism_from_initial,
 )
 from rmtt.rfib import Inconclusive
 
 BASES = {"terminal": terminal_category, "delta1": delta1,
          "chain2": lambda: chain_poset(2), "span": span_category}
+
+
+def map_te(m: ModelMorphism, tele_ctx, c, te):
+    """Map a telescope environment through the morphism (telescope
+    entries must be sort applications)."""
+    raws = env_list(te, len(tele_ctx))
+    out = ()
+    for ty, v in zip(tele_ctx, raws):
+        if not isinstance(ty, SortApp):
+            raise ModelError("cannot map a product-typed environment entry")
+        out = (out, m.on(ty.head, c, v))
+    return out
 
 
 def reference_enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget=2000000):
@@ -276,3 +292,17 @@ def test_budget_exceeded_names_the_search(classifiers):
     M = N = classifiers["tthg", "chain2"]
     with pytest.raises(Inconclusive, match=r"^morphism search exceeded its budget of 100 steps$"):
         enumerate_model_morphisms(load_signature("tthg"), M, N, budget=100)
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("name", ["itth", "etth1"])
+def test_unique_morphism_from_depth_3(name):
+    """Criterion 8's check at depth 3 with the default sizes (39 objects
+    and 7144 arrows): the component search has more slots than Python's
+    recursion limit."""
+    sig, targets = _model_corpus(name)
+    initial = initial_model(sig, 3, max_arrows=12000)
+    for target in targets:
+        _, report, found = unique_morphism_from_initial(sig, 3, target, initial=initial)
+        assert report.ok, report.failed()
+        assert len(found) == 1

@@ -1,6 +1,10 @@
-"""The subpresheaf and extension-morphism searches, which run on
-`search.backtrack`, against the code they replaced, kept below verbatim
-as references: the same results in the same order."""
+"""`search.backtrack` and the subpresheaf and extension-morphism
+searches that run on it, against the code they replaced, kept below
+verbatim as references: the same results in the same order.  The
+recursive driver is the reference of the iterative one."""
+
+import random
+import sys
 
 import pytest
 
@@ -16,6 +20,70 @@ from rmtt.homotopy import (
 from rmtt.kernel import Const, Declaration, SortApp, enumerate_terms, load_signature, slice_theory
 from rmtt.models import ModelError
 from rmtt.rfib import Presheaf, enumerate_subpresheaves, rep_map_classifier, terminal_psh, yoneda
+from rmtt.search import backtrack
+
+
+# ---------------------------------------------------------------------------
+# the driver
+# ---------------------------------------------------------------------------
+
+
+def reference_backtrack(k, n, fill):
+    """Fill slots k..n-1 in order and yield once per complete filling.
+    `fill(k)` is a generator that assigns each accepted value of slot k
+    in turn and yields after each, undoing its assignment when done."""
+    if k == n:
+        yield
+        return
+    for _ in fill(k):
+        yield from reference_backtrack(k + 1, n, fill)
+
+
+def run_driver(driver, k, n, seed):
+    """Every event of a seeded random search: each assignment, each
+    undo and each complete filling, in order.  Slot j accepts a value
+    only if a choice seeded by the values so far says so."""
+    vals = [None] * n
+    events = []
+
+    def fill(j):
+        for v in range(4):
+            if random.Random(f"{seed}:{vals[k:j]}:{v}").random() < 0.6:
+                vals[j] = v
+                events.append(("set", j, v))
+                yield
+        vals[j] = None
+        events.append(("undo", j))
+
+    for _ in driver(k, n, fill):
+        events.append(("done", tuple(vals)))
+    assert vals == [None] * n
+    return events
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_backtrack_matches_recursive_reference(seed):
+    n = seed % 7
+    k = seed % 3 if seed % 3 <= n else 0
+    assert run_driver(backtrack, k, n, seed) == run_driver(reference_backtrack, k, n, seed)
+
+
+def test_backtrack_past_the_recursion_limit():
+    """Three times more slots than the interpreter's recursion limit,
+    which the recursive driver could not fill; each slot takes 0, or 1
+    at the last slot as well, so there are two fillings."""
+    n = 3 * sys.getrecursionlimit()
+    vals = [None] * n
+
+    def fill(j):
+        for v in (0, 1) if j == n - 1 else (0,):
+            vals[j] = v
+            yield
+        vals[j] = None
+
+    got = [vals[-2:] for _ in backtrack(0, n, fill)]
+    assert got == [[0, 0], [0, 1]]
+    assert vals == [None] * n
 
 
 def reference_enumerate_subpresheaves(X: Presheaf, max_size=None):
