@@ -2,7 +2,10 @@
 suite, and writes a deterministic JSON report keyed by input hashes.
 
 Exit status: 0 success, 1 verification failure, 2 malformed input,
-3 budget-inconclusive.
+3 budget-inconclusive.  `main` is the only place that maps an outcome
+to a status.  The loaders (`@loader`) raise `Malformed` for any
+error in reading or checking a file or argument, or in writing an
+output path; every `cmd_*` loads, computes and calls `run.finish`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ import sys
 from .corpus import corpus_generate
 from .fincat import FiniteCategory, names, require_shape, validate_category
 from .kernel import (
-    KernelError,
     NormalizationBudget,
-    ParseError,
     check_signature,
     infer_term,
     normalize,
@@ -29,7 +30,6 @@ from .kernel import (
 )
 from .models import (
     ModelBudget,
-    ModelError,
     check_model,
     heart,
     initial_model,
@@ -39,25 +39,57 @@ from .models import (
     model_from_json,
     model_to_json,
 )
-from .rfib import Inconclusive, RfibError, Unclassifiable, rep_map_classifier, is_univalent
+from .rfib import Inconclusive, Unclassifiable, rep_map_classifier, is_univalent
 from .structures import NotUnivalent, structure_criteria
 
 OK, FAIL, MALFORMED, INCONCLUSIVE = 0, 1, 2, 3
 
+# a search or normalization that ran out of its budget
+BUDGETS = (Inconclusive, NormalizationBudget, ModelBudget)
 
-def _hash_file(path):
-    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+class Malformed(Exception):
+    """An input that cannot be read or checked, or an output path that
+    cannot be written."""
 
 
+def loader(fn):
+    """Mark fn as a loader: it only reads and checks an input the user
+    named, or writes an output the user named, so whatever it raises,
+    budgets aside, means that input or output is malformed."""
+    def load(*args):
+        try:
+            return fn(*args)
+        except (Malformed, *BUDGETS):
+            raise
+        except Exception as e:
+            raise Malformed(str(e)) from e
+    return load
+
+
+@loader
 def _read_sig(path):
     if path in ("tthg", "itth", "etth1", "itthpi", "tthr1"):
-        return shipped_signature_text(path), f"shipped:{path}"
-    return pathlib.Path(path).read_text(), path
+        return shipped_signature_text(path)
+    return pathlib.Path(path).read_text()
+
+
+@loader
+def _load_sig(path):
+    return parse_signature(_read_sig(path))
+
+
+# raises ParseError on text that does not parse; type errors are issues
+_check_sig = loader(check_signature)
+
+
+@loader
+def _write(path, text):
+    pathlib.Path(path).write_text(text)
 
 
 class Run:
     def __init__(self, args):
-        self.args = args
         self.report = {
             "tool": "rmtt",
             "subcommand": args.command,
@@ -72,70 +104,60 @@ class Run:
 
     def add_input(self, label, path):
         try:
-            self.report["inputs"][label] = _hash_file(path)
+            self.report["inputs"][label] = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
         except OSError:
             self.report["inputs"][label] = f"shipped:{path}" if isinstance(path, str) else "?"
 
     def finish(self, status, result):
+        """Record the outcome; `main` writes the report."""
         self.report["result"] = result
         self.report["status"] = {OK: "ok", FAIL: "fail", MALFORMED: "malformed",
                                  INCONCLUSIVE: "inconclusive"}[status]
-        text = json.dumps(self.report, indent=1, default=str) + "\n"
-        if self.args.out:
-            pathlib.Path(self.args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
         return status
 
 
 def cmd_check_sig(run, args):
-    try:
-        text, label = _read_sig(args.signature)
-    except OSError as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    text = _read_sig(args.signature)
     run.add_input("signature", args.signature)
-    try:
-        rep = check_signature(text)
-    except ParseError as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    rep = _check_sig(text)
     result = {"valid": rep.ok, "issues": [{"where": i.where, "message": i.message} for i in rep.issues]}
     return run.finish(OK if rep.ok else FAIL, result)
 
 
+@loader
+def _load_term(sig, text):
+    """A closed term, parsed and type-checked against sig."""
+    term = parse_term_text(sig, text)
+    infer_term(sig, (), term)
+    return term
+
+
 def cmd_normalize(run, args):
-    try:
-        text, _ = _read_sig(args.signature)
-        sig = parse_signature(text)
-        term = parse_term_text(sig, args.term)
-        infer_term(sig, (), term)
-    except NormalizationBudget as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
-    except (OSError, KernelError) as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    sig = _load_sig(args.signature)
+    term = _load_term(sig, args.term)
     run.add_input("signature", args.signature)
-    try:
-        nf = normalize(sig, term, fuel=args.fuel)
-    except NormalizationBudget as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
+    nf = normalize(sig, term, fuel=args.fuel)
     return run.finish(OK, {"input": pretty(term), "normal_form": pretty(nf),
                            "changed": nf != term})
 
 
+def _require_category(base):
+    rep = validate_category(base)
+    if not rep.ok:
+        raise Malformed("; ".join(i.message for i in rep.issues[:3]))
+
+
+@loader
 def _load_base(run, path):
     doc = json.loads(pathlib.Path(path).read_text())
     base = FiniteCategory.from_json(doc)
-    rep = validate_category(base)
-    if not rep.ok:
-        raise ValueError("; ".join(i.message for i in rep.issues[:3]))
+    _require_category(base)
     run.add_input("base", path)
     return base
 
 
 def cmd_classifier(run, args):
-    try:
-        base = _load_base(run, args.base)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    base = _load_base(run, args.base)
     cls = rep_map_classifier(base)
     uni = is_univalent(cls.generic, cls.witness, budget=args.iso_budget)
     result = {
@@ -148,17 +170,9 @@ def cmd_classifier(run, args):
 
 
 def cmd_structures(run, args):
-    try:
-        base = _load_base(run, args.base)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    base = _load_base(run, args.base)
     cls = rep_map_classifier(base)
-    try:
-        rep = structure_criteria(cls.generic, cls.witness, budget=args.iso_budget)
-    except NotUnivalent as e:
-        return run.finish(MALFORMED, {"error": str(e)})
-    except Inconclusive as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
+    rep = structure_criteria(cls.generic, cls.witness, budget=args.iso_budget)
     result = {
         kind: {"closure": v["closure"], "structure_found": v["found"] is not None,
                "agree": v["agree"]}
@@ -168,22 +182,17 @@ def cmd_structures(run, args):
     return run.finish(OK if ok else FAIL, result)
 
 
-# what reading a model document can raise on malformed input
-BAD_MODEL = (OSError, KernelError, RfibError, ValueError, KeyError, json.JSONDecodeError)
-
-
+@loader
 def _load_model(run, path):
     doc = json.loads(pathlib.Path(path).read_text())
     model = model_from_json(doc)
+    _require_category(model.base)
     run.add_input("model", path)
     return model
 
 
 def cmd_check_model(run, args):
-    try:
-        model = _load_model(run, args.model)
-    except BAD_MODEL as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    model = _load_model(run, args.model)
     rep = check_model(model.sig, model)
     result = {"valid": rep.ok,
               "clauses": [{"clause": c, "ok": ok, "detail": d} for c, ok, d in rep.clauses]}
@@ -191,10 +200,7 @@ def cmd_check_model(run, args):
 
 
 def cmd_heart(run, args):
-    try:
-        model = _load_model(run, args.model)
-    except BAD_MODEL as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    model = _load_model(run, args.model)
     ctx = contextual_objects(model)
     h = heart(model)
     result = {
@@ -203,35 +209,22 @@ def cmd_heart(run, args):
         "heart_objects": [str(o) for o in h.base.objects],
     }
     if args.model_out:
-        pathlib.Path(args.model_out).write_text(json.dumps(model_to_json(h), indent=1) + "\n")
+        _write(args.model_out, json.dumps(model_to_json(h), indent=1) + "\n")
     return run.finish(OK, result)
 
 
 def cmd_il(run, args):
-    try:
-        model = _load_model(run, args.model)
-    except BAD_MODEL as e:
-        return run.finish(MALFORMED, {"error": str(e)})
-    try:
-        theory = internal_language(model, args.depth)
-    except ModelBudget as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
+    model = _load_model(run, args.model)
+    theory = internal_language(model, args.depth)
     result = theory.to_json()
     result["contexts"] = [[pretty(t) for t in ctx] for ctx in theory.contexts]
     return run.finish(OK, result)
 
 
 def cmd_initial_model(run, args):
-    try:
-        text, _ = _read_sig(args.signature)
-        sig = parse_signature(text)
-    except (OSError, KernelError) as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    sig = _load_sig(args.signature)
     run.add_input("signature", args.signature)
-    try:
-        model = initial_model(sig, args.depth)
-    except ModelBudget as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
+    model = initial_model(sig, args.depth)
     rep = check_model(sig, model)
     result = {
         "objects": len(model.base.objects),
@@ -240,39 +233,36 @@ def cmd_initial_model(run, args):
         "democratic": is_democratic(model),
     }
     if args.model_out:
-        pathlib.Path(args.model_out).write_text(json.dumps(model_to_json(model), indent=1) + "\n")
+        _write(args.model_out, json.dumps(model_to_json(model), indent=1) + "\n")
     return run.finish(OK if rep.ok else FAIL, result)
 
 
 def cmd_correspondence(run, args):
-    try:
-        text, _ = _read_sig(args.signature)
-        parse_signature(text)
-    except (OSError, KernelError) as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    _load_sig(args.signature)
     run.add_input("signature", args.signature)
-    from .acceptance import criterion_6
+    from .acceptance import SHIPPED, criterion_6
 
-    name = args.signature if args.signature in ("tthg", "etth1", "itth", "itthpi") else None
-    if name is None:
-        return run.finish(MALFORMED, {"error": "correspondence runs on shipped signatures"})
-    res = criterion_6(seed=args.seed, depth=args.depth, signatures=(name,))
+    if args.signature not in SHIPPED:
+        raise Malformed("correspondence runs on shipped signatures")
+    res = criterion_6(seed=args.seed, depth=args.depth, signatures=(args.signature,))
     return run.finish(OK if res["ok"] else FAIL, res["detail"])
 
 
 def cmd_lifting(run, args):
     from .acceptance import criterion_9
 
-    try:
-        res = criterion_9(seed=args.seed, depth=args.depth)
-    except ModelBudget as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
+    res = criterion_9(seed=args.seed, depth=args.depth)
     return run.finish(OK if res["ok"] else FAIL, res["detail"])
 
 
-def _attachment_rows(doc):
-    """The rows of a cofibration document, {"attachments": [{"length": n,
-    "top": "Ty" | "El", "terms": [term, ...]}, ...]}, shape-checked."""
+@loader
+def _load_cofibration(sig, path):
+    """A cofibration document, {"attachments": [{"length": n, "top": "Ty" |
+    "El", "terms": [term, ...]}, ...]}: its rows shape-checked, then each
+    row's terms parsed in sig extended by the rows before it."""
+    from .homotopy import Attachment, CofibrationPresentation, pushout_cofibration
+
+    doc = json.loads(pathlib.Path(path).read_text())
     rows = doc.get("attachments") if isinstance(doc, dict) else None
     require_shape("cofibration", {"attachments": isinstance(rows, list)})
     for k, a in enumerate(rows):
@@ -282,40 +272,46 @@ def _attachment_rows(doc):
             f"attachments[{k}].top": a.get("top") in ("Ty", "El"),
             f"attachments[{k}].terms": names(a.get("terms", [])),
         })
-    return rows
+    atts, probe = [], sig
+    for a in rows:
+        terms = tuple(parse_term_text(probe, t) for t in a.get("terms", []))
+        atts.append(Attachment(a["length"], a["top"], terms))
+        probe = pushout_cofibration(probe, CofibrationPresentation.of(atts[-1]))
+    return CofibrationPresentation.of(*atts)
 
 
 def cmd_pushout(run, args):
-    from .homotopy import Attachment, CofibrationPresentation, pushout_cofibration, added_constants
+    from .homotopy import pushout_cofibration, added_constants
     from .kernel import print_signature as print_sig
 
-    try:
-        text, _ = _read_sig(args.signature)
-        sig = parse_signature(text)
-        doc = json.loads(pathlib.Path(args.cofibration).read_text())
-        atts = []
-        probe = sig
-        for a in _attachment_rows(doc):
-            terms = tuple(parse_term_text(probe, t) for t in a.get("terms", []))
-            atts.append(Attachment(a["length"], a["top"], terms))
-            probe = pushout_cofibration(probe, CofibrationPresentation.of(atts[-1]))
-        cof = CofibrationPresentation.of(*atts)
-    except (OSError, KernelError, ModelError, KeyError, ValueError, json.JSONDecodeError) as e:
-        return run.finish(MALFORMED, {"error": str(e)})
+    sig = _load_sig(args.signature)
+    cof = _load_cofibration(sig, args.cofibration)
     run.add_input("signature", args.signature)
     run.add_input("cofibration", args.cofibration)
     out = pushout_cofibration(sig, cof)
     added = added_constants(sig, out)
     result = {"added": [d.name for d in added], "signature": print_sig(out)}
     if args.model_out:
-        pathlib.Path(args.model_out).write_text(print_sig(out))
+        _write(args.model_out, print_sig(out))
     return run.finish(OK, result)
+
+
+@loader
+def _criteria(text):
+    """The criterion numbers of a comma-separated `--only` list."""
+    from .acceptance import CRITERIA
+
+    only = set(int(x) for x in text.split(","))
+    unknown = sorted(only - {num for num, _, _ in CRITERIA})
+    if unknown:
+        raise Malformed(f"no criterion numbered {', '.join(map(str, unknown))}")
+    return only
 
 
 def cmd_suite(run, args):
     from .acceptance import run_all
 
-    only = set(int(x) for x in args.only.split(",")) if args.only else None
+    only = _criteria(args.only) if args.only else None
     run.report["budgets"] = {}  # run_all takes none: each criterion runs at its own
     res = run_all(seed=args.seed, only=only)
     summary = {
@@ -326,8 +322,18 @@ def cmd_suite(run, args):
     return run.finish(OK if res["ok"] else FAIL, {"ok": res["ok"], "criteria": summary})
 
 
+@loader
+def _write_corpus(out_dir, docs):
+    d = pathlib.Path(out_dir)
+    d.mkdir(parents=True, exist_ok=True)
+    for fname, doc in sorted(docs.items()):
+        (d / fname).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
 def cmd_corpus(run, args):
-    docs = corpus_generate(seed=args.seed, out_dir=args.dir)
+    docs = corpus_generate(seed=args.seed)
+    if args.dir is not None:
+        _write_corpus(args.dir, docs)
     return run.finish(OK, {"files": sorted(docs.keys()), "dir": args.dir})
 
 
@@ -425,11 +431,23 @@ def main(argv=None):
             setattr(args, key, value)
     run = Run(args)
     try:
-        return args.fn(run, args)
-    except (Inconclusive, NormalizationBudget) as e:
-        return run.finish(INCONCLUSIVE, {"error": str(e)})
+        status = args.fn(run, args)
+    except (Malformed, NotUnivalent) as e:
+        status = run.finish(MALFORMED, {"error": str(e)})
+    except BUDGETS as e:
+        status = run.finish(INCONCLUSIVE, {"error": str(e)})
     except Unclassifiable as e:
-        return run.finish(FAIL, {"error": str(e)})
+        status = run.finish(FAIL, {"error": str(e)})
+    text = json.dumps(run.report, indent=1, default=str) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return status
+    try:
+        _write(args.out, text)
+    except Malformed as e:  # the report has nowhere to go
+        print(f"rmtt: cannot write the report: {e}", file=sys.stderr)
+        return MALFORMED
+    return status
 
 
 if __name__ == "__main__":

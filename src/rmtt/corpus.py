@@ -203,21 +203,13 @@ def corpus_representable_maps(base: FiniteCategory, cls=None, seed=0, max_carrie
     return out
 
 
-def corpus_generate(seed=0, out_dir=None, random_count=3):
-    """The reproducible corpus as JSON documents; writing twice with one
-    seed is byte-identical."""
+def corpus_generate(seed=0, random_count=3):
+    """The reproducible corpus as JSON documents; one seed gives the same
+    documents every time."""
     docs = {}
     bases = corpus_bases(seed, random_count)
     for name, b in bases:
         docs[f"base_{name}.json"] = b.to_json()
         for i, p in enumerate(corpus_presheaves(b, seed=seed)):
             docs[f"psh_{name}_{i}.json"] = p.to_json()
-    if out_dir is not None:
-        import json
-        import pathlib
-
-        d = pathlib.Path(out_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        for fname, doc in sorted(docs.items()):
-            (d / fname).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return docs

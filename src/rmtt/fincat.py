@@ -182,6 +182,9 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
             issues.append(Issue("structural", "missing identity arrow", (o,)))
         elif not (cat.src[i] == o and cat.tgt[i] == o):
             issues.append(Issue("structural", "identity with wrong endpoints", (o, i)))
+    for (f, g) in cat.compose:
+        if f not in seen or g not in seen:
+            issues.append(Issue("structural", "composite of an unknown arrow", (f, g)))
     arrows = [a for a in cat.arrow_ids if cat.src[a] in objs and cat.tgt[a] in objs]
     arrset = set(arrows)
     for f in arrows:

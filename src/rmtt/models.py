@@ -1178,6 +1178,9 @@ def unique_morphism_from_initial(sig: Signature, depth, target: ModelData,
     for i, ctx in enumerate(ctxs):
         P = interpret_context(target, ctx)
         rep = is_representable(P)
+        if rep is None and target.depth is not None:
+            raise ModelBudget(f"interpretation of an enumerated context is not representable "
+                              f"in a target truncated at depth {target.depth}")
         if rep is None:
             raise ModelError(f"interpretation of an enumerated context is not representable")
         omap[obj_ids[i]] = rep[0]
@@ -1363,6 +1366,8 @@ def model_from_json(doc: dict) -> ModelData:
         "terms": table(doc.get("terms"), _rows(3)),
     })
     sig = parse_signature(doc["signature"])
+    require_shape("model", {"sorts": set(doc["sorts"]) == {d.name for d in sig.sort_decls},
+                            "terms": set(doc["terms"]) == {d.name for d in sig.term_decls}})
     exposed = parse_signature(doc["exposed_signature"]) if "exposed_signature" in doc else None
     model = ModelData(base, doc["terminal"], sig, doc["depth"], exposed)
     for name, sdoc in doc["sorts"].items():

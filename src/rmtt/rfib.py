@@ -730,24 +730,6 @@ def pushforward(f: PshMap, g: PshMap, wf: ComprehensionWitness = None) -> PshMap
     return q
 
 
-def pushforward_on_map(f: PshMap, wf, g1: PshMap, g2: PshMap, phi: PshMap,
-                       q1: PshMap = None, q2: PshMap = None) -> PshMap:
-    """Functorial action: phi : dom g1 -> dom g2 over dom(f) induces
-    f_* g1 -> f_* g2 over the target of f."""
-    if q1 is None:
-        q1 = pushforward(f, g1, wf)
-    if q2 is None:
-        q2 = pushforward(f, g2, wf)
-    base = f.base
-    comps = {}
-    for c in base.objects:
-        comps[c] = {}
-        for (y, x) in q1.source.fibers[c]:
-            obj = wf.obj(c, y)
-            comps[c][(y, x)] = (y, phi.components[obj][x])
-    return PshMap(q1.source, q2.source, comps)
-
-
 def polynomial_apply(f: PshMap, X: Presheaf, wf: ComprehensionWitness = None) -> Presheaf:
     """The polynomial functor of a representable f : E -> B applied to X:
     pull back along dom, push forward along f, forget to the base.

@@ -41,7 +41,6 @@ from .rfib import (
     pullback_of_maps,
     pullback_witness,
     pushforward,
-    pushforward_on_map,
     terminal_psh,
 )
 
@@ -202,7 +201,7 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
                 for o in base.objects
             },
         )
-        return pushforward_on_map(aa, waa, None, None, phi, expV, expW)
+        return polynomial_on_map(aa, waa, phi, expV.source, expW.source)
 
     post_A = post(a, wa, exp_A_El, pull_A_El, exp_A_Ty, pull_A_Ty)
     post_El = post(typeof, w, exp_El_El, pull_El_El, exp_El_Ty, pull_El_Ty)

@@ -460,3 +460,121 @@ def test_initial_model_of_free_endomorphism_is_inconclusive(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "inconclusive"
     assert "nest past" in rep["result"]["error"]
+
+
+NOT_UTF8 = b"Ty : sort\n\xff\xfe : Ty\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-sig", "{sig}"),
+        ("normalize", "{sig}", "c"),
+        ("--depth", "1", "initial-model", "{sig}"),
+        ("correspondence", "{sig}"),
+    ],
+    ids=["check-sig", "normalize", "initial-model", "correspondence"],
+)
+def test_signature_not_utf8_is_malformed(args, tmp_path):
+    sig = tmp_path / "bad.sig"
+    sig.write_bytes(NOT_UTF8)
+    out = tmp_path / "r.json"
+    proc = run_cli(*(a.format(sig=sig) for a in args), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert "can't decode" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("only,bad", [("x", "'x'"), ("99", "99"), ("3,99", "99")])
+def test_suite_only_names_known_criteria(only, bad):
+    proc = run_cli("suite", "--only", only)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = report(proc)
+    assert rep["status"] == "malformed"
+    assert bad in rep["result"]["error"]
+
+
+def test_lifting_at_depth_0_is_inconclusive():
+    # criterion 9's collapse maps a depth-1 initial model into a depth-0
+    # one, which lacks the objects that represent its contexts
+    proc = run_cli("--depth", "0", "lifting")
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    rep = report(proc)
+    assert rep["status"] == "inconclusive"
+    assert "truncated at depth 0" in rep["result"]["error"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--depth", "1", "initial-model", "tthg", "--model-out", "{missing}/m.json"),
+        ("heart", "{model}", "--model-out", "{missing}/m.json"),
+        ("pushout", "itth", "{cof}", "--model-out", "{missing}/s.sig"),
+        ("corpus", "--dir", "{model}/corpus"),
+    ],
+    ids=["initial-model", "heart", "pushout", "corpus"],
+)
+def test_unwritable_output_is_malformed(args, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(_classifier_model_doc()))
+    cof = tmp_path / "cof.json"
+    cof.write_text(json.dumps({"attachments": [{"length": 0, "top": "Ty", "terms": []}]}))
+    proc = run_cli(*(a.format(missing=tmp_path / "missing", model=model, cof=cof) for a in args))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = report(proc)
+    assert rep["status"] == "malformed"
+    assert str(tmp_path) in rep["result"]["error"]
+
+
+def test_unwritable_report_path(tmp_path):
+    proc = run_cli("check-sig", "itth", "--out", str(tmp_path / "missing" / "r.json"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert "cannot write the report" in proc.stderr
+
+
+def _drop_composite(doc):
+    doc["base"]["compose"].remove(["id1", "u", "u"])
+
+
+def _drop_sorts(doc):
+    doc["sorts"] = {}
+
+
+@pytest.mark.parametrize(
+    "mutate,error",
+    [(_drop_composite, "composable pair without composite"), (_drop_sorts, "bad sorts")],
+    ids=["base-not-a-category", "sorts-missing"],
+)
+@pytest.mark.parametrize("command", ["check-model", "il"])
+def test_model_document_checked_against_its_signature_and_base(command, mutate, error, tmp_path):
+    doc = _classifier_model_doc()
+    mutate(doc)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    proc = run_cli(command, str(model), "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "malformed"
+    assert error in rep["result"]["error"]
+
+
+@pytest.mark.parametrize("command", ["classifier", "structures"])
+def test_base_composite_of_unknown_arrow_is_malformed(command, tmp_path):
+    doc = json.loads((GOLDEN / "corpus" / "base_delta1.json").read_text())
+    doc["arrows"] = [a for a in doc["arrows"] if a["id"] != "u"]
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc))
+    proc = run_cli(command, str(base))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "composite of an unknown arrow" in report(proc)["result"]["error"]

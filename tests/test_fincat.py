@@ -52,6 +52,17 @@ def test_missing_composite_is_structural():
     )
 
 
+
+def test_composite_of_unknown_arrow_is_structural():
+    # delta1 with its arrow u dropped from the arrow list but not from
+    # the composition table
+    d = delta1()
+    cat = FiniteCategory(d.objects, [a for a in d.arrows if a[0] != "u"], d.identities, d.compose)
+    rep = validate_category(cat)
+    assert ("composite of an unknown arrow", ("id1", "u")) in {
+        (i.message, i.witnesses) for i in rep.structural()
+    }
+
 def test_find_terminal_delta1():
     assert find_terminal(delta1()) == "1"
 
