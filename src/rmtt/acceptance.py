@@ -41,12 +41,12 @@ from .models import (
     ModelData,
     classifier_model,
     compose_model_morphisms,
+    ctx_fiber,
     enumerate_model_morphisms,
     eval_subst,
     heart_inclusion,
     identity_morphism,
     initial_model,
-    interpret_context,
     is_democratic,
     syntactic_model,
     unique_morphism_from_initial,
@@ -279,14 +279,13 @@ def criterion_6(seed=0, depth=2, type_size=4, term_size=4, sm_depth=1, signature
             def env_of(s):
                 return eval_subst(sm, (), compose_subst(sm.sig, closing, s), sm.terminal, ())
 
-            pshs = {B: interpret_context(sm, B) for B in ctxs}
             hom_envs = {}
             for B in ctxs:
                 checked += 1
                 homs = enumerate_substitutions(sig, A, B, term_size)
                 envs = [env_of(s) for s in homs]
                 hom_envs[B] = (homs, envs)
-                fiber = set(pshs[B].fibers[sm.terminal])
+                fiber = set(ctx_fiber(sm, B, sm.terminal))
                 if len(set(envs)) != len(homs) or set(envs) != fiber:
                     failures.append((name, "bijection", len(homs), len(fiber)))
             for B in ctxs:

@@ -19,6 +19,7 @@ import sys
 from .corpus import corpus_generate
 from .fincat import FiniteCategory, names, require_shape, validate_category
 from .kernel import (
+    SHIPPED_SIGNATURES,
     NormalizationBudget,
     check_signature,
     infer_term,
@@ -68,15 +69,20 @@ def loader(fn):
 
 
 @loader
-def _read_sig(path):
-    if path in ("tthg", "itth", "etth1", "itthpi", "tthr1"):
+def _read_sig(run, path):
+    """The text of a shipped signature named path, else of the file at
+    path, recorded as the run's signature input."""
+    if path in SHIPPED_SIGNATURES:
+        run.report["inputs"]["signature"] = f"shipped:{path}"
         return shipped_signature_text(path)
-    return pathlib.Path(path).read_text()
+    text = pathlib.Path(path).read_text()
+    run.add_input("signature", path)
+    return text
 
 
 @loader
-def _load_sig(path):
-    return parse_signature(_read_sig(path))
+def _load_sig(run, path):
+    return parse_signature(_read_sig(run, path))
 
 
 # raises ParseError on text that does not parse; type errors are issues
@@ -103,10 +109,7 @@ class Run:
         }
 
     def add_input(self, label, path):
-        try:
-            self.report["inputs"][label] = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
-        except OSError:
-            self.report["inputs"][label] = f"shipped:{path}" if isinstance(path, str) else "?"
+        self.report["inputs"][label] = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
 
     def finish(self, status, result):
         """Record the outcome; `main` writes the report."""
@@ -117,9 +120,7 @@ class Run:
 
 
 def cmd_check_sig(run, args):
-    text = _read_sig(args.signature)
-    run.add_input("signature", args.signature)
-    rep = _check_sig(text)
+    rep = _check_sig(_read_sig(run, args.signature))
     result = {"valid": rep.ok, "issues": [{"where": i.where, "message": i.message} for i in rep.issues]}
     return run.finish(OK if rep.ok else FAIL, result)
 
@@ -133,9 +134,8 @@ def _load_term(sig, text):
 
 
 def cmd_normalize(run, args):
-    sig = _load_sig(args.signature)
+    sig = _load_sig(run, args.signature)
     term = _load_term(sig, args.term)
-    run.add_input("signature", args.signature)
     nf = normalize(sig, term, fuel=args.fuel)
     return run.finish(OK, {"input": pretty(term), "normal_form": pretty(nf),
                            "changed": nf != term})
@@ -222,8 +222,7 @@ def cmd_il(run, args):
 
 
 def cmd_initial_model(run, args):
-    sig = _load_sig(args.signature)
-    run.add_input("signature", args.signature)
+    sig = _load_sig(run, args.signature)
     model = initial_model(sig, args.depth)
     rep = check_model(sig, model)
     result = {
@@ -238,8 +237,7 @@ def cmd_initial_model(run, args):
 
 
 def cmd_correspondence(run, args):
-    _load_sig(args.signature)
-    run.add_input("signature", args.signature)
+    _load_sig(run, args.signature)
     from .acceptance import SHIPPED, criterion_6
 
     if args.signature not in SHIPPED:
@@ -256,7 +254,7 @@ def cmd_lifting(run, args):
 
 
 @loader
-def _load_cofibration(sig, path):
+def _load_cofibration(run, sig, path):
     """A cofibration document, {"attachments": [{"length": n, "top": "Ty" |
     "El", "terms": [term, ...]}, ...]}: its rows shape-checked, then each
     row's terms parsed in sig extended by the rows before it."""
@@ -277,6 +275,7 @@ def _load_cofibration(sig, path):
         terms = tuple(parse_term_text(probe, t) for t in a.get("terms", []))
         atts.append(Attachment(a["length"], a["top"], terms))
         probe = pushout_cofibration(probe, CofibrationPresentation.of(atts[-1]))
+    run.add_input("cofibration", path)
     return CofibrationPresentation.of(*atts)
 
 
@@ -284,10 +283,8 @@ def cmd_pushout(run, args):
     from .homotopy import pushout_cofibration, added_constants
     from .kernel import print_signature as print_sig
 
-    sig = _load_sig(args.signature)
-    cof = _load_cofibration(sig, args.cofibration)
-    run.add_input("signature", args.signature)
-    run.add_input("cofibration", args.cofibration)
+    sig = _load_sig(run, args.signature)
+    cof = _load_cofibration(run, sig, args.cofibration)
     out = pushout_cofibration(sig, cof)
     added = added_constants(sig, out)
     result = {"added": [d.name for d in added], "signature": print_sig(out)}

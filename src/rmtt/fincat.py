@@ -38,12 +38,6 @@ class ValidationReport:
     def __bool__(self) -> bool:
         return self.ok
 
-    def structural(self):
-        return [i for i in self.issues if i.kind == "structural"]
-
-    def laws(self):
-        return [i for i in self.issues if i.kind == "law"]
-
 
 class FiniteCategory:
     """objects + arrows + identities + total composition table.

@@ -73,10 +73,6 @@ class Declaration:
         return len(self.telescope)
 
     @property
-    def is_sort(self):
-        return self.target == SORT
-
-    @property
     def is_rep_sort(self):
         return self.target == REP_SORT
 

@@ -44,7 +44,7 @@ from .rfib import (
 )
 from .search import backtrack
 from .structures import find_structure, structure_shape
-from .kernel.check import MAX_NESTING, Signature, infer_term, normalize
+from .kernel.check import MAX_NESTING, REP_SORT, SORT, Declaration, Signature, infer_term, normalize
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift, term_size
 from .kernel.contexts import (
     compose_subst,
@@ -68,12 +68,20 @@ class ModelBudget(ModelError):
 
 @dataclass
 class SortInterp:
-    tele_ctx: tuple  # the declaration's telescope, as a context
+    decl: Declaration  # the sort's telescope and representability
     tele_obj: Presheaf
     total: Presheaf
     family: PshMap  # total -> tele_obj
     witness: ComprehensionWitness = None  # rep-sorts; may be partial
-    rep: bool = False
+
+    @property
+    def tele_ctx(self):
+        """The declaration's telescope, as a context."""
+        return self.decl.telescope
+
+    @property
+    def rep(self):
+        return self.decl.is_rep_sort
 
 
 class ModelData:
@@ -392,11 +400,10 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
     model = ModelData(base, term, sig)
     one = terminal_psh(base)
 
-    ty_decl = sig.decls.get("Ty")
-    el_decl = sig.decls.get("El")
-    if ty_decl is None or el_decl is None:
+    ty_decl, el_decl = sig.decls.get("Ty"), sig.decls.get("El")
+    if ty_decl != Declaration("Ty", (), SORT) or el_decl != Declaration("El", (SortApp("Ty"),), REP_SORT):
         raise ModelError("classifier models need the Ty/El universe sorts")
-    model.sorts["Ty"] = SortInterp((), one, cls.omega, bang(cls.omega), None, rep=False)
+    model.sorts["Ty"] = SortInterp(ty_decl, one, cls.omega, bang(cls.omega))
     tele_el = interpret_context(model, (SortApp("Ty"),))
     fam_el = PshMap(
         cls.omega_pt,
@@ -407,7 +414,7 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
         fam_el,
         {(c, ((), y)): w.data[(c, y)] for (c, y) in w.data},
     )
-    model.sorts["El"] = SortInterp((SortApp("Ty"),), tele_el, cls.omega_pt, fam_el, el_witness, rep=True)
+    model.sorts["El"] = SortInterp(el_decl, tele_el, cls.omega_pt, fam_el, el_witness)
 
     structures = {}
     for kind in _needed_kinds(sig):
@@ -576,7 +583,7 @@ def heart(model: ModelData) -> ModelData:
             wit = ComprehensionWitness(
                 fam, {(c, te): v for (c, te), v in si.witness.data.items() if c in keep}
             )
-        out.sorts[name] = SortInterp(si.tele_ctx, tele, total, fam, wit, si.rep)
+        out.sorts[name] = SortInterp(si.decl, tele, total, fam, wit)
     for name, table in model.term_values.items():
         out.term_values[name] = {(c, te): v for (c, te), v in table.items() if c in keep}
     return out
@@ -602,9 +609,6 @@ class TheoryData:
     action: dict  # (src index, tgt index, subst) -> {env: env}
     depth: int
     skipped_actions: int = 0
-
-    def size(self, i):
-        return len(self.values[i])
 
     def to_json(self):
         return {
@@ -795,7 +799,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 if gen in members[obj_ids[j]]:
                     data[(c, te)] = (obj_ids[j], proj_aid, gen)
             witness = ComprehensionWitness(family, data)
-        model.sorts[d.name] = SortInterp(d.telescope, tele_obj, total, family, witness, d.is_rep_sort)
+        model.sorts[d.name] = SortInterp(d, tele_obj, total, family, witness)
 
     for d in sig.term_decls:
         table = {}
@@ -969,10 +973,72 @@ def compose_model_morphisms(m1: ModelMorphism, m2: ModelMorphism) -> ModelMorphi
     return ModelMorphism(m1.source, m2.target, fun, comps)
 
 
+def _family_image(m: ModelMorphism, name, c, x):
+    """The target telescope instance over which the image of x, an
+    element of sort `name` at c, must lie: x's own instance, mapped."""
+    siM = m.source.sorts[name]
+    return map_env(m, siM.tele_ctx, c, siM.family.components[c][x])
+
+
+# what `_beck_chevalley` returns where a truncated target has no
+# comprehension for the image of an instance
+SKIPPED = "skipped at depth"
+
+
+def _beck_chevalley(m: ModelMorphism, name, c, te):
+    """The Beck-Chevalley condition at the comprehension of sort `name`'s
+    instance te over c: None when the comparison arrow from the image of
+    the source comprehension to the target comprehension is invertible,
+    a failure message when it is missing or not invertible, or SKIPPED."""
+    siM, siN = m.source.sorts[name], m.target.sorts[name]
+    obj, proj, gen = siM.witness.data[(c, te)]
+    fc = m.functor.object_map[c]
+    te_n = map_env(m, siM.tele_ctx, c, te)
+    if siN.witness is None or (fc, te_n) not in siN.witness.data:
+        return SKIPPED
+    fobj = m.functor.object_map[obj]
+    try:
+        h = siN.witness.mediate(fc, te_n, fobj, m.functor.arrow_map[proj], m.on(name, obj, gen))
+    except RfibError:
+        return f"{name}: no comparison arrow at {c!r}"
+    if m.target.base.inverse(h) is None:
+        return f"{name}: comparison not invertible at {c!r}"
+    return None
+
+
+def _value_preserved(m: ModelMorphism, d, c, te, v):
+    """Does term constant d's value v at (c, te) map to the target's value
+    at the image?  True where either falls outside a truncated model."""
+    tabN = m.target.term_values.get(d.name, {})
+    fc = m.functor.object_map[c]
+    try:
+        te_n = map_env(m, d.telescope, c, te)
+        if (fc, te_n) not in tabN:
+            return True
+        v_n = map_value(m, d.telescope, d.target, c, te, v)
+    except ModelBudget:
+        return True
+    return v_n == tabN[(fc, te_n)]
+
+
+def _comprehensions(M: ModelData, names):
+    """(sort, stage, instance) for each comprehension of the representable
+    sorts among names: where Beck-Chevalley is checked."""
+    return [(name, c, te) for name in names if M.sorts[name].rep and M.sorts[name].witness is not None
+            for c, te in M.sorts[name].witness.data]
+
+
+def _values(sig: Signature, M: ModelData):
+    """(declaration, stage, instance, value) for each term value of M."""
+    return [(d, c, te, v) for d in sig.term_decls for (c, te), v in M.term_values.get(d.name, {}).items()]
+
+
 def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
     """Terminal preservation, naturality across the base functor, family
     compatibility, the Beck-Chevalley comparison at representable sorts,
-    and value preservation where environments are mappable."""
+    and value preservation where environments are mappable.  Family
+    images and the last two conditions are the ones the morphism search
+    decides by."""
     rep = ModelReport()
     M, N = m.source, m.target
     fr = validate_functor(M.base, N.base, m.functor)
@@ -1010,53 +1076,26 @@ def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
         for c in M.base.objects:
             fc = m.functor.object_map[c]
             for x in siM.total.fibers[c]:
-                want = map_env(m, siM.tele_ctx, c, siM.family.components[c][x])
-                if siN.family.components[fc][comp[c][x]] != want:
+                if siN.family.components[fc][comp[c][x]] != _family_image(m, name, c, x):
                     fam_bad.append(f"{name}: family compatibility fails at {c!r}")
                     break
     rep.clauses.append(("family", not fam_bad, "; ".join(fam_bad[:3])))
 
     bc_bad = []
     bc_skipped = 0
-    for name, comp in m.components.items():
-        siM, siN = M.sorts[name], N.sorts[name]
-        if not siM.rep or siM.witness is None:
-            continue
-        for (c, te), (obj, proj, gen) in siM.witness.data.items():
-            fc = m.functor.object_map[c]
-            te_n = map_env(m, siM.tele_ctx, c, te)
-            if siN.witness is None or (fc, te_n) not in siN.witness.data:
-                bc_skipped += 1
-                continue
-            fobj = m.functor.object_map[obj]
-            fproj = m.functor.arrow_map[proj]
-            gen_n = comp[obj][gen]
-            try:
-                h = siN.witness.mediate(fc, te_n, fobj, fproj, gen_n)
-            except RfibError:
-                bc_bad.append(f"{name}: no comparison arrow at {c!r}")
-                continue
-            if N.base.inverse(h) is None:
-                bc_bad.append(f"{name}: comparison not invertible at {c!r}")
+    for name, c, te in _comprehensions(M, m.components):
+        verdict = _beck_chevalley(m, name, c, te)
+        if verdict is SKIPPED:
+            bc_skipped += 1
+        elif verdict:
+            bc_bad.append(verdict)
     rep.clauses.append(("beck-chevalley", not bc_bad,
                         "; ".join(bc_bad[:3]) + (f" ({bc_skipped} skipped at depth)" if bc_skipped else "")))
 
     val_bad = []
     if not bc_bad:
-        for d in sig.term_decls:
-            tabM = M.term_values.get(d.name, {})
-            tabN = N.term_values.get(d.name, {})
-            for (c, te), v in tabM.items():
-                fc = m.functor.object_map[c]
-                try:
-                    te_n = map_env(m, d.telescope, c, te)
-                    if (fc, te_n) not in tabN:
-                        continue
-                    v_n = map_value(m, d.telescope, d.target, c, te, v)
-                except ModelBudget:
-                    continue
-                if v_n != tabN[(fc, te_n)]:
-                    val_bad.append(f"{d.name}: value not preserved at {c!r}")
+        val_bad = [f"{d.name}: value not preserved at {c!r}"
+                   for d, c, te, v in _values(sig, M) if not _value_preserved(m, d, c, te, v)]
     rep.clauses.append(("values", not val_bad, "; ".join(val_bad[:3])))
     return rep
 
@@ -1078,9 +1117,10 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
     family compatibility allows.  Each functor law and each naturality
     square of M is compiled once per call, under whichever of its arrows
     or component slots is assigned last, and is checked only when that
-    one is assigned.  Candidates are confirmed by the full validity
-    check.  Raises `Inconclusive` once more than `budget` candidate
-    images have been tried."""
+    one is assigned.  A complete assignment is kept when every
+    Beck-Chevalley comparison and every value is preserved, by the
+    predicates `check_morphism` reads.  Raises `Inconclusive` once more
+    than `budget` candidate images have been tried."""
     steps = [0]
     out = []
     baseM, baseN = M.base, N.base
@@ -1091,6 +1131,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
     omap, amap = {}, {}
     comp = {name: {c: {} for c in objs} for name in sorts}
     partial = ModelMorphism(M, N, FunctorData(omap, amap), comp)
+    comprehensions, values = _comprehensions(M, sorts), _values(sig, M)
 
     # the law f.g = h under the last of f, g and h in arrow order
     laws = [[] for _ in arrows]
@@ -1105,10 +1146,9 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         for c in objs:
             slot[c] = {x: len(slots) + n for n, x in enumerate(total.fibers[c])}
             slots += [(name, c, x) for x in total.fibers[c]]
-        # the arrow of a square as its index in acts; check_morphism
-        # decides a square whose two slots coincide
+        # the arrow of a square as its index in acts
         for k, sq in naturality_squares(total, slot).items():
-            squares[k] = [(i, j, si * len(arrows) + baseM.arr_index(a)) for i, j, a in sq if i != j]
+            squares[k] = [(i, j, si * len(arrows) + baseM.arr_index(a)) for i, j, a in sq]
     img = [None] * len(slots)
 
     def tick():
@@ -1139,9 +1179,9 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
 
     def fill_component(k):
         name, c, x = slots[k]
-        siM, siN = M.sorts[name], N.sorts[name]
+        siN = N.sorts[name]
         try:
-            want = map_env(partial, siM.tele_ctx, c, siM.family.components[c][x])
+            want = _family_image(partial, name, c, x)
         except KeyError:
             return  # telescope mapping not decided yet (cannot happen in decl order)
         fc = omap[c]
@@ -1158,10 +1198,10 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         for _ in backtrack(0, len(arrows), fill_arrow):
             acts = [N.sorts[name].total.action[amap[a]] for name in sorts for a in arrows]
             for _ in backtrack(0, len(slots), fill_component):
-                cand = ModelMorphism(M, N, FunctorData(dict(omap), dict(amap)),
-                                     {n: {c: dict(comp[n][c]) for c in objs} for n in sorts})
-                if check_morphism(sig, cand).ok:
-                    out.append(cand)
+                if all(_beck_chevalley(partial, *entry) in (None, SKIPPED) for entry in comprehensions) \
+                        and all(_value_preserved(partial, *entry) for entry in values):
+                    out.append(ModelMorphism(M, N, FunctorData(dict(omap), dict(amap)),
+                                             {n: {c: dict(comp[n][c]) for c in objs} for n in sorts}))
     return out
 
 
@@ -1350,7 +1390,8 @@ def _witness_rows_ok(base, witness) -> bool:
 
 def model_from_json(doc: dict) -> ModelData:
     """Raises ValueError when doc does not have the shape model_to_json
-    writes, element ids, kernel expressions and witness rows included."""
+    writes, element ids, kernel expressions and witness rows included,
+    or when a sort's `rep` or `tele` differs from its declaration."""
     from .kernel.check import parse_signature
     from .kernel.terms import expr_from_data
 
@@ -1371,6 +1412,9 @@ def model_from_json(doc: dict) -> ModelData:
     exposed = parse_signature(doc["exposed_signature"]) if "exposed_signature" in doc else None
     model = ModelData(base, doc["terminal"], sig, doc["depth"], exposed)
     for name, sdoc in doc["sorts"].items():
+        decl = sig.decls[name]
+        require_shape("model", {f"{name} rep": sdoc.get("rep") is decl.is_rep_sort,
+                                f"{name} tele": tuple(map(expr_from_data, sdoc["tele"])) == decl.telescope})
         total = _psh_from_doc(base, sdoc["total"])
         tele_obj = _psh_from_doc(base, sdoc["tele_obj"])
         family = PshMap(
@@ -1388,8 +1432,7 @@ def model_from_json(doc: dict) -> ModelData:
                 },
             )
             require_shape("model", {f"{name} witness rows": _witness_rows_ok(base, witness)})
-        tele_ctx = tuple(expr_from_data(t) for t in sdoc["tele"])
-        model.sorts[name] = SortInterp(tele_ctx, tele_obj, total, family, witness, sdoc["rep"])
+        model.sorts[name] = SortInterp(decl, tele_obj, total, family, witness)
     for name, rows in doc["terms"].items():
         model.term_values[name] = {(c, _dec(te)): _dec(v) for c, te, v in rows}
     return model

@@ -246,17 +246,6 @@ class PshMap:
         comps = {o: {y: x for x, y in self.components[o].items()} for o in self.base.objects}
         return PshMap(self.target, self.source, comps, validate=False)
 
-    def to_json(self) -> dict:
-        return {
-            "base_hash": self.base.content_hash(),
-            "source": self.source.to_json(),
-            "target": self.target.to_json(),
-            "components": {
-                str(o): {str(x): str(y) for x, y in sorted(self.components[o].items(), key=lambda kv: str(kv[0]))}
-                for o in self.base.objects
-            },
-        }
-
 
 def identity_map(X: Presheaf) -> PshMap:
     return PshMap(X, X, {o: {x: x for x in X.fibers[o]} for o in X.base.objects}, validate=False)
@@ -400,47 +389,10 @@ def enumerate_subpresheaves(X: Presheaf, max_size=None):
 # ---------------------------------------------------------------------------
 
 
-def psh_limit(base: FiniteCategory, nodes, edges=()):
-    """Pointwise limit of a finite diagram.
-
-    nodes: ordered list of (name, Presheaf); edges: (src_name, tgt_name,
-    PshMap).  Element ids of the limit are tuples of input ids in node
-    order.  Returns (limit presheaf, {name: projection PshMap}).
-    """
-    names = [n for n, _ in nodes]
-    by_name = dict(nodes)
-    for n, X in nodes:
-        if X.base != base:
-            raise RfibError("diagram leg over a different base")
-    import itertools
-
-    fibers = {}
-    for o in base.objects:
-        pool = [by_name[n].fibers[o] for n in names]
-        elems = []
-        for combo in itertools.product(*pool) if names else [()]:
-            vals = dict(zip(names, combo))
-            if all(e.components[o][vals[s]] == vals[t] for (s, t, e) in edges):
-                elems.append(tuple(combo))
-        fibers[o] = tuple(elems)
-    action = {}
-    for a in base.arrow_ids:
-        s, t = base.src[a], base.tgt[a]
-        table = {}
-        for combo in fibers[t]:
-            table[combo] = tuple(by_name[n].action[a][x] for n, x in zip(names, combo))
-        action[a] = table
-    lim = Presheaf(base, fibers, action, validate=False)
-    projections = {}
-    for i, n in enumerate(names):
-        comps = {o: {combo: combo[i] for combo in fibers[o]} for o in base.objects}
-        projections[n] = PshMap(lim, by_name[n], comps, validate=False)
-    return lim, projections
-
-
 def terminal_psh(base: FiniteCategory) -> Presheaf:
-    lim, _ = psh_limit(base, [])
-    return lim
+    """The one-point presheaf: its element at every object is ()."""
+    return Presheaf(base, {o: ((),) for o in base.objects}, {a: {(): ()} for a in base.arrow_ids},
+                    validate=False)
 
 
 def bang(X: Presheaf) -> PshMap:
@@ -450,8 +402,8 @@ def bang(X: Presheaf) -> PshMap:
 
 
 def product_psh(X: Presheaf, Y: Presheaf):
-    lim, proj = psh_limit(X.base, [("l", X), ("r", Y)])
-    return lim, proj["l"], proj["r"]
+    """X x Y with its projections: the pullback over the terminal."""
+    return pullback_of_maps(bang(X), bang(Y))
 
 
 def pullback_of_maps(f: PshMap, g: PshMap):

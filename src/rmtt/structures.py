@@ -62,21 +62,12 @@ class TypeStructure:
     top: PshMap  # lands in El
     elim: PshMap = None  # IdPlus only: the uniform lifting section
 
-    def to_json(self):
-        doc = {"kind": self.kind, "bottom": self.bottom.to_json(), "top": self.top.to_json()}
-        if self.elim is not None:
-            doc["elim"] = self.elim.to_json()
-        return doc
-
 
 @dataclass
 class StructureReport:
     univalent: bool
     verdicts: dict = field(default_factory=dict)
     # kind -> {"found": TypeStructure|None, "closure": bool, "agree": bool}
-
-    def agrees(self) -> bool:
-        return all(v["agree"] for v in self.verdicts.values())
 
 
 def is_pullback_square(top: PshMap, left: PshMap, right: PshMap, bottom: PshMap) -> bool:

@@ -5,8 +5,8 @@ to normal form.  They decide no claim of the package, so they live here
 rather than in `rmtt`."""
 
 from rmtt.fincat import FiniteCategory
-from rmtt.kernel import App, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
-from rmtt.rfib import Presheaf, PshMap, pullback_of_maps, pushforward, yoneda
+from rmtt.kernel import App, Declaration, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
+from rmtt.rfib import Presheaf, PshMap, RfibError, pullback_of_maps, pushforward, yoneda
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +40,45 @@ def coproduct_psh(X: Presheaf, Y: Presheaf):
     inl = PshMap(X, C, {o: {x: ("l", x) for x in X.fibers[o]} for o in base.objects}, validate=False)
     inr = PshMap(Y, C, {o: {y: ("r", y) for y in Y.fibers[o]} for o in base.objects}, validate=False)
     return C, inl, inr
+
+
+def psh_limit(base: FiniteCategory, nodes, edges=()):
+    """Pointwise limit of a finite diagram.
+
+    nodes: ordered list of (name, Presheaf); edges: (src_name, tgt_name,
+    PshMap).  Element ids of the limit are tuples of input ids in node
+    order.  Returns (limit presheaf, {name: projection PshMap}).  The
+    reference for `rmtt.rfib`'s terminal presheaf and binary product.
+    """
+    names = [n for n, _ in nodes]
+    by_name = dict(nodes)
+    for n, X in nodes:
+        if X.base != base:
+            raise RfibError("diagram leg over a different base")
+    import itertools
+
+    fibers = {}
+    for o in base.objects:
+        pool = [by_name[n].fibers[o] for n in names]
+        elems = []
+        for combo in itertools.product(*pool) if names else [()]:
+            vals = dict(zip(names, combo))
+            if all(e.components[o][vals[s]] == vals[t] for (s, t, e) in edges):
+                elems.append(tuple(combo))
+        fibers[o] = tuple(elems)
+    action = {}
+    for a in base.arrow_ids:
+        s, t = base.src[a], base.tgt[a]
+        table = {}
+        for combo in fibers[t]:
+            table[combo] = tuple(by_name[n].action[a][x] for n, x in zip(names, combo))
+        action[a] = table
+    lim = Presheaf(base, fibers, action, validate=False)
+    projections = {}
+    for i, n in enumerate(names):
+        comps = {o: {combo: combo[i] for combo in fibers[o]} for o in base.objects}
+        projections[n] = PshMap(lim, by_name[n], comps, validate=False)
+    return lim, projections
 
 
 def yoneda_map(base: FiniteCategory, f) -> PshMap:
@@ -96,15 +135,8 @@ def transpose_from_pushforward(f: PshMap, wf, g: PshMap, h: PshMap, psi: PshMap)
 
 
 def _require_base_universe(sig: Signature):
-    ty = sig.decls.get("Ty")
-    el = sig.decls.get("El")
-    if (
-        ty is None
-        or el is None
-        or not ty.is_sort
-        or ty.arity != 0
-        or not el.is_rep_sort
-        or el.telescope != (SortApp("Ty"),)
+    if sig.decls.get("Ty") != Declaration("Ty", (), "sort") or sig.decls.get("El") != Declaration(
+        "El", (SortApp("Ty"),), "rep-sort"
     ):
         raise KernelError("signature must declare Ty : sort and El : (A : Ty) -> rep-sort")
 

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import pathlib
@@ -319,6 +320,52 @@ def test_model_witness_rows_checked(initial_model_doc, command, mutate, tmp_path
     out = tmp_path / "r.json"
     _expect_malformed(run_cli(command, str(model), "--out", str(out)), out, "model")
     assert json.loads(out.read_text())["result"]["error"].endswith("bad El witness rows")
+
+
+def _el_not_representable(doc):
+    doc["sorts"]["El"]["rep"] = False
+    doc["sorts"]["El"]["witness"] = None
+
+
+def _el_without_telescope(doc):
+    doc["sorts"]["El"]["tele"] = []
+
+
+@pytest.fixture(scope="module")
+def itth_classifier_doc():
+    from rmtt.fincat import delta1
+    from rmtt.kernel import load_signature
+    from rmtt.models import classifier_model, model_to_json
+
+    return model_to_json(classifier_model(load_signature("itth"), delta1()))
+
+
+@pytest.mark.parametrize("mutate,field", [(_el_not_representable, "El rep"), (_el_without_telescope, "El tele")])
+@pytest.mark.parametrize("command", ["check-model", "heart", "il"])
+def test_model_sorts_agree_with_their_declarations(itth_classifier_doc, command, mutate, field, tmp_path):
+    """A sort's `rep` and `tele` must be its declaration's in the
+    document's own signature."""
+    doc = copy.deepcopy(itth_classifier_doc)
+    mutate(doc)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    _expect_malformed(run_cli(command, str(model), "--out", str(out)), out, "model")
+    assert json.loads(out.read_text())["result"]["error"].endswith(f"bad {field}")
+
+
+def test_report_hashes_the_signature_it_reads(tmp_path):
+    """A shipped name is read as the shipped signature, also where a file
+    of that name lies in the working directory, and the report says so."""
+    (tmp_path / "itth").write_text("garbage ((\n")
+    proc = run_cli("check-sig", "itth", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert report(proc)["inputs"] == {"signature": "shipped:itth"}
+    sig = tmp_path / "mine.sig"
+    sig.write_text("T : sort\n")
+    proc = run_cli("check-sig", "mine.sig", cwd=tmp_path)
+    assert proc.returncode == 0
+    assert report(proc)["inputs"] == {"signature": hashlib.sha256(b"T : sort\n").hexdigest()}
 
 
 DEEP = 3000

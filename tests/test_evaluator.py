@@ -186,7 +186,7 @@ def _broken(si, key, entry):
     data = dict(si.witness.data)
     data[key] = entry
     wit = ComprehensionWitness(si.witness.map, data)
-    return SortInterp(si.tele_ctx, si.tele_obj, si.total, si.family, wit, si.rep)
+    return SortInterp(si.decl, si.tele_obj, si.total, si.family, wit)
 
 
 def _one_entry_broken(si, entries=3, choices=3):

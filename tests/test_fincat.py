@@ -31,8 +31,8 @@ def test_identity_law_violation_reported():
     )
     rep = validate_category(bad)
     assert not rep.ok
-    assert any("identity law" in i.message and "u" in i.witnesses for i in rep.laws())
-    assert not rep.structural()
+    assert any("identity law" in i.message and "u" in i.witnesses for i in rep.issues if i.kind == "law")
+    assert all(i.kind == "law" for i in rep.issues)
 
 
 def test_missing_composite_is_structural():
@@ -47,8 +47,8 @@ def test_missing_composite_is_structural():
     )
     rep = validate_category(cat)
     assert any(
-        i.message == "composable pair without composite" and i.witnesses == ("g", "f")
-        for i in rep.structural()
+        i.kind == "structural" and i.message == "composable pair without composite" and i.witnesses == ("g", "f")
+        for i in rep.issues
     )
 
 
@@ -60,7 +60,7 @@ def test_composite_of_unknown_arrow_is_structural():
     cat = FiniteCategory(d.objects, [a for a in d.arrows if a[0] != "u"], d.identities, d.compose)
     rep = validate_category(cat)
     assert ("composite of an unknown arrow", ("id1", "u")) in {
-        (i.message, i.witnesses) for i in rep.structural()
+        (i.message, i.witnesses) for i in rep.issues if i.kind == "structural"
     }
 
 def test_find_terminal_delta1():

@@ -291,7 +291,7 @@ def reference_initial_model(sig, depth, type_size=5, subst_size=None, term_size=
                         continue
                     data[(c, te)] = (obj_ids[j], proj_aid, gen)
             witness = ComprehensionWitness(family, data)
-        model.sorts[d.name] = SortInterp(d.telescope, tele_obj, total, family, witness, d.is_rep_sort)
+        model.sorts[d.name] = SortInterp(d, tele_obj, total, family, witness)
 
     for d in sig.term_decls:
         table = {}

@@ -27,7 +27,7 @@ ElU = SortApp("El", (Const("Unit"),))
 
 def test_tthg_parses():
     sig = load_signature("tthg")
-    assert sig.decls["Ty"].is_sort
+    assert sig.decls["Ty"].target == "sort"
     assert sig.decls["El"].is_rep_sort
     assert sig.decls["El"].telescope == (SortApp("Ty"),)
 

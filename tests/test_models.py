@@ -121,7 +121,7 @@ def test_heart_of_democratic_is_identity(tthg, d1):
 def test_internal_language_sizes(tthg, d1, d1_cls):
     m = classifier_model(tthg, d1, classifier=d1_cls)
     il = internal_language(m, 1)
-    sizes = {tuple(pretty(t) for t in ctx): il.size(i) for i, ctx in enumerate(il.contexts)}
+    sizes = {tuple(pretty(t) for t in ctx): len(il.values[i]) for i, ctx in enumerate(il.contexts)}
     assert sizes[()] == 1
     assert sizes[("Ty",)] == 2  # the classifier fiber over the terminal object
 
@@ -222,8 +222,8 @@ def test_model_json_round_trip(itth, d1):
     again = model_from_json(model_to_json(m))
     assert check_model(itth, again).ok
     il1, il2 = internal_language(m, 1), internal_language(again, 1)
-    assert [il1.size(i) for i in range(len(il1.contexts))] == [
-        il2.size(i) for i in range(len(il2.contexts))
+    assert [len(il1.values[i]) for i in range(len(il1.contexts))] == [
+        len(il2.values[i]) for i in range(len(il2.contexts))
     ]
 
 
@@ -269,8 +269,8 @@ def test_il_conservativity_on_democratic_models(tthg):
     mor, rep, _ = unique_morphism_from_initial(sig, 1, target, initial=im, verify_unique=False)
     il_src = internal_language(im, 1)
     il_tgt = internal_language(target, 1)
-    sizes_src = [il_src.size(i) for i in range(len(il_src.contexts))]
-    sizes_tgt = [il_tgt.size(i) for i in range(len(il_tgt.contexts))]
+    sizes_src = [len(il_src.values[i]) for i in range(len(il_src.contexts))]
+    sizes_tgt = [len(il_tgt.values[i]) for i in range(len(il_tgt.contexts))]
     assert sizes_src != sizes_tgt  # internal language not bijective...
     assert any(  # ...and indeed some component is not bijective
         len(set(mor.components[name][c].values())) != len(target.sorts[name].total.fibers[mor.functor.object_map[c]])

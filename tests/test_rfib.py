@@ -1,5 +1,6 @@
 import pytest
 
+from rmtt.corpus import corpus_bases, corpus_presheaves
 from rmtt.fincat import terminal_category
 from rmtt.rfib import (
     Presheaf,
@@ -15,7 +16,6 @@ from rmtt.rfib import (
     is_representable,
     is_representable_map,
     product_psh,
-    psh_limit,
     pullback_of_maps,
     pullback_witness,
     pushforward,
@@ -25,6 +25,7 @@ from rmtt.rfib import (
 
 from constructions import (
     coproduct_psh,
+    psh_limit,
     transpose_from_pushforward,
     transpose_to_pushforward,
     yoneda_map,
@@ -48,6 +49,22 @@ def test_presheaf_laws_checked(d1):
 def test_limit_empty_diagram_is_terminal(d1):
     lim, _ = psh_limit(d1, [])
     assert all(lim.fibers[o] == ((),) for o in d1.objects)
+
+
+def test_terminal_and_product_match_the_limit_construction():
+    """The terminal presheaf and the product, built directly and as a
+    pullback over the terminal, against the pointwise limits of the empty
+    and the two-node diagram: the same element ids, fibre order, action
+    and projections."""
+    for _, base in corpus_bases(0):
+        assert terminal_psh(base) == psh_limit(base, [])[0]
+        pshs = corpus_presheaves(base)
+        for X in pshs:
+            for Y in pshs:
+                prod, pl, pr = product_psh(X, Y)
+                lim, proj = psh_limit(base, [("l", X), ("r", Y)])
+                assert prod == lim
+                assert (pl, pr) == (proj["l"], proj["r"])
 
 
 def test_limit_product_pointwise(d1):
