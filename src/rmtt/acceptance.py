@@ -275,9 +275,14 @@ def criterion_6(seed=0, depth=2, type_size=4, term_size=4, sm_depth=1, signature
             sm = syntactic_model(sig, A, sm_depth, type_size=type_size, term_size=term_size)
             # the slice's global section of A
             closing = tuple(Const(d.name) for d in sm.sig.declarations() if d.name not in sig.decls)
+            # at most one entry per distinct substitution out of A; dropped with sm
+            memo = {}
 
             def env_of(s):
-                return eval_subst(sm, (), compose_subst(sm.sig, closing, s), sm.terminal, ())
+                env = memo.get(s)
+                if env is None:
+                    env = memo[s] = eval_subst(sm, (), compose_subst(sm.sig, closing, s), sm.terminal, ())
+                return env
 
             hom_envs = {}
             for B in ctxs:

@@ -241,7 +241,7 @@ def cmd_correspondence(run, args):
     from .acceptance import SHIPPED, criterion_6
 
     if args.signature not in SHIPPED:
-        raise Malformed("correspondence runs on shipped signatures")
+        raise Malformed(f"correspondence runs on the signatures {', '.join(SHIPPED)}")
     res = criterion_6(seed=args.seed, depth=args.depth, signatures=(args.signature,))
     return run.finish(OK if res["ok"] else FAIL, res["detail"])
 

@@ -830,7 +830,6 @@ def _choose_squares(base, stable):
                 pairs.append((u, a))
     candidates = {}
     for (u, a) in pairs:
-        c = base.tgt[u]
         cones = [
             (apex, top, left)
             for (apex, top, left) in _universal_squares(base, a, u)
@@ -840,43 +839,42 @@ def _choose_squares(base, stable):
             raise ClassifierChoiceError(f"stable arrow {a!r} lost stability along {u!r}")
         candidates[(u, a)] = cones
 
+    order = sorted(pairs, key=lambda ua: (base.arr_index(ua[0]), base.arr_index(ua[1])))
+    position = {key: k for k, key in enumerate(order)}
+    # A pasting: while (u, a) has the square `cone`, the square of
+    # (u v, a) is the square of (v, left) pasted under it, for each v into
+    # u's source.  Each is filed under the last of its three squares in
+    # `order`, and checked once, when that square is chosen; identity
+    # squares are fixed.
+    pastings = {}
+    for key, cones in candidates.items():
+        u, a = key
+        for v in base.arrows_into(base.src[u]):
+            outer = (base.comp(u, v), a)
+            at_least = max(position[key], position.get(outer, -1))
+            for cone in cones:
+                inner = (v, cone[2])
+                last = max(at_least, position.get(inner, -1))
+                pastings.setdefault(last, []).append((key, cone, inner, outer))
+
     choice = {}
 
     def square(u, a):
         if base.is_identity(u):
             return (base.src[a], base.id_of(base.src[a]), a)
-        return choice.get((u, a))
+        return choice[(u, a)]
 
-    def compatible():
-        # Every committed pasting must agree with the committed square for
-        # the composite; unknowns are skipped until assigned.
-        for (u, a), sq in list(choice.items()):
-            c = base.tgt[u]
-            apex_u, top_u, left_u = sq
-            d = base.src[u]
-            for v in base.arrow_ids:
-                if base.tgt[v] != d:
-                    continue
-                inner = square(v, left_u)
-                if inner is None:
-                    continue
-                apex_v, top_v, left_v = inner
-                uv = base.comp(u, v)
-                outer = square(uv, a)
-                if outer is None:
-                    continue
-                pasted = (apex_v, base.comp(top_u, top_v), left_v)
-                if outer != pasted:
-                    return False
-        return True
-
-    order = sorted(pairs, key=lambda ua: (base.arr_index(ua[0]), base.arr_index(ua[1])))
+    def pastes(key, cone, inner, outer):
+        if choice[key] != cone:
+            return True
+        apex_v, top_v, left_v = square(*inner)
+        return square(*outer) == (apex_v, base.comp(cone[1], top_v), left_v)
 
     def fill(k):
         key = order[k]
         for cone in candidates[key]:
             choice[key] = cone
-            if compatible():
+            if all(pastes(*p) for p in pastings.get(k, ())):
                 yield
         choice.pop(key, None)
 

@@ -1,12 +1,23 @@
 """Constructions only the tests use: small categories and presheaves to
 test against, the pushforward's adjunction transposes, the context
-presenting a chain of type families, and equality of substitutions up
-to normal form.  They decide no claim of the package, so they live here
-rather than in `rmtt`."""
+presenting a chain of type families, equality of substitutions up to
+normal form, and the classifier's choice of pullback squares by
+rechecking every pasting.  They decide no claim of the package, so they
+live here rather than in `rmtt`."""
 
 from rmtt.fincat import FiniteCategory
 from rmtt.kernel import App, Declaration, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
-from rmtt.rfib import Presheaf, PshMap, RfibError, pullback_of_maps, pushforward, yoneda
+from rmtt.rfib import (
+    ClassifierChoiceError,
+    Presheaf,
+    PshMap,
+    RfibError,
+    _universal_squares,
+    pullback_of_maps,
+    pushforward,
+    yoneda,
+)
+from rmtt.search import backtrack
 
 
 # ---------------------------------------------------------------------------
@@ -19,6 +30,16 @@ def discrete_category(n: int) -> FiniteCategory:
     arrows = [(f"id{i}", str(i), str(i)) for i in range(n)]
     identities = {str(i): f"id{i}" for i in range(n)}
     compose = {(f"id{i}", f"id{i}"): f"id{i}" for i in range(n)}
+    return FiniteCategory(objects, arrows, identities, compose)
+
+
+def chaotic_category(n: int) -> FiniteCategory:
+    """One arrow between any two of n objects, so every arrow is an
+    isomorphism and every pullback has several universal cones."""
+    objects = [str(i) for i in range(n)]
+    arrows = [(f"{i}{j}", i, j) for i in objects for j in objects]
+    identities = {i: f"{i}{i}" for i in objects}
+    compose = {(f"{j}{k}", f"{i}{j}"): f"{i}{k}" for i in objects for j in objects for k in objects}
     return FiniteCategory(objects, arrows, identities, compose)
 
 
@@ -197,3 +218,85 @@ def hom_equal(sig: Signature, s1, s2) -> bool:
     if len(s1) != len(s2):
         return False
     return all(normalize(sig, a) == normalize(sig, b) for a, b in zip(s1, s2))
+
+
+# ---------------------------------------------------------------------------
+# the classifier's choice of pullback squares
+# ---------------------------------------------------------------------------
+
+# The reference for the squares `rmtt.rfib.rep_map_classifier` chooses:
+# the same search, but at every candidate cone it rechecks every pasting
+# among the squares chosen so far.
+
+
+def rechecking_choose_squares(base, stable):
+    """A strictly functorial choice of pullback squares for the stable
+    arrows: identity arrows get identity squares and chosen squares paste
+    on the nose.  Found by backtracking over universal cones."""
+    pairs = []
+    for c in base.objects:
+        for u in base.arrows_into(c):
+            if base.is_identity(u):
+                continue
+            for a in stable[c]:
+                pairs.append((u, a))
+    candidates = {}
+    for (u, a) in pairs:
+        c = base.tgt[u]
+        cones = [
+            (apex, top, left)
+            for (apex, top, left) in _universal_squares(base, a, u)
+            if left in stable[base.src[u]]
+        ]
+        if not cones:
+            raise ClassifierChoiceError(f"stable arrow {a!r} lost stability along {u!r}")
+        candidates[(u, a)] = cones
+
+    choice = {}
+
+    def square(u, a):
+        if base.is_identity(u):
+            return (base.src[a], base.id_of(base.src[a]), a)
+        return choice.get((u, a))
+
+    def compatible():
+        # Every committed pasting must agree with the committed square for
+        # the composite; unknowns are skipped until assigned.
+        for (u, a), sq in list(choice.items()):
+            c = base.tgt[u]
+            apex_u, top_u, left_u = sq
+            d = base.src[u]
+            for v in base.arrow_ids:
+                if base.tgt[v] != d:
+                    continue
+                inner = square(v, left_u)
+                if inner is None:
+                    continue
+                apex_v, top_v, left_v = inner
+                uv = base.comp(u, v)
+                outer = square(uv, a)
+                if outer is None:
+                    continue
+                pasted = (apex_v, base.comp(top_u, top_v), left_v)
+                if outer != pasted:
+                    return False
+        return True
+
+    order = sorted(pairs, key=lambda ua: (base.arr_index(ua[0]), base.arr_index(ua[1])))
+
+    def fill(k):
+        key = order[k]
+        for cone in candidates[key]:
+            choice[key] = cone
+            if compatible():
+                yield
+        choice.pop(key, None)
+
+    for _ in backtrack(0, len(order), fill):
+        return {
+            (u, a): square(u, a)
+            for c in base.objects
+            for u in base.arrows_into(c)
+            for a in stable[c]
+        }
+    raise ClassifierChoiceError("no strictly functorial choice of pullback squares")

@@ -6,7 +6,10 @@ line so a verbose run reads as a checklist.
 
 import time
 
+import pytest
+
 from rmtt import acceptance
+from rmtt.kernel import enumerate_framework_contexts, load_signature
 
 LIMITS_S = {1: 60, 2: 60, 4: 120, 5: 120, 6: 15, 9: 300}
 
@@ -52,6 +55,16 @@ def test_criterion_05_kernel_health():
 def test_criterion_06_correspondence_at_representables():
     res = _run(6, acceptance.criterion_6)
     assert res["detail"]["checked"] > 0
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("name", ["itth", "etth1"])
+def test_criterion_06_at_depth_3(name):
+    """Criterion 6 on every pair of depth-3 contexts: 14 x 14 on itth."""
+    res = acceptance.criterion_6(signatures=(name,), depth=3)
+    n = len(enumerate_framework_contexts(load_signature(name), 3))
+    assert res["ok"], res["detail"]
+    assert res["detail"]["checked"] == n * n
 
 
 def test_criterion_07_heart_coreflection():

@@ -544,6 +544,16 @@ def test_suite_only_names_known_criteria(only, bad):
     assert bad in rep["result"]["error"]
 
 
+def test_correspondence_names_the_signatures_it_runs():
+    # tthr1 is shipped, but criterion 6 does not run on it
+    proc = run_cli("correspondence", "tthr1")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    rep = report(proc)
+    assert rep["status"] == "malformed"
+    assert rep["result"]["error"] == "correspondence runs on the signatures tthg, etth1, itth, itthpi"
+
+
 def test_lifting_at_depth_0_is_inconclusive():
     # criterion 9's collapse maps a depth-1 initial model into a depth-0
     # one, which lacks the objects that represent its contexts

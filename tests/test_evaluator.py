@@ -2,11 +2,15 @@
 against the code they replaced, kept below verbatim as references:
 criterion 6's private `close`/`env_of` and `semantic` loops, which
 evaluated a substitution term by term, and `_partial_witness_violations`,
-the universal-property check of a truncated model's witness."""
+the universal-property check of a truncated model's witness.  Criterion
+6 is compared with its reference on correct syntactic models and on
+models with one value changed."""
+
+import itertools
 
 import pytest
 
-from rmtt import acceptance
+from rmtt import acceptance, models
 from rmtt.acceptance import SHIPPED, _model_corpus
 from rmtt.kernel import (
     Const,
@@ -25,7 +29,7 @@ from rmtt.models import (
     interpret_context,
     syntactic_model,
 )
-from rmtt.rfib import ComprehensionWitness
+from rmtt.rfib import ComprehensionWitness, RfibError
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,57 @@ def test_substitution_values_match_reference(name):
 def test_criterion_6_matches_reference():
     for name in SHIPPED:
         assert acceptance.criterion_6(signatures=(name,)) == reference_criterion_6(signatures=(name,))
+
+
+def _one_value_changed(k, const):
+    """`syntactic_model`, except that in the k-th model it builds, the
+    first entry of `const`'s value table takes another element of the
+    same fibre of its sort, where that fibre has another element."""
+    calls = itertools.count()
+
+    def build(*args, **kwargs):
+        sm = models.syntactic_model(*args, **kwargs)
+        table = sm.term_values[const]
+        if next(calls) == k and table:
+            (c, te), old = next(iter(table.items()))
+            si = sm.sort(sm.sig.decls[const].target.head)
+            over = si.family.components[c][old]
+            table[(c, te)] = next(
+                (x for x in si.total.fibers[c] if x != old and si.family.components[c][x] == over), old
+            )
+        return sm
+
+    return build
+
+
+def _outcome(check, **kwargs):
+    """The report, or "raised" where a mutant is too broken to evaluate."""
+    try:
+        return check(**kwargs)
+    except (models.ModelError, RfibError):
+        return "raised"
+
+
+@pytest.mark.parametrize("name", ["itth", "itthpi"])
+def test_criterion_6_matches_reference_on_mutated_models(name, monkeypatch):
+    """Evaluating each substitution out of A once hides no failure: with
+    one value changed in one syntactic model, criterion 6 and its
+    reference return the same report."""
+    sig = load_signature(name)
+    consts = [d.name for d in sig.declarations() if d.is_term]
+    reports = []
+    for k in range(len(enumerate_framework_contexts(sig, 1, type_size=4))):
+        for const in consts:
+            monkeypatch.setattr(acceptance, "syntactic_model", _one_value_changed(k, const))
+            new = _outcome(acceptance.criterion_6, signatures=(name,), depth=1)
+            monkeypatch.setitem(globals(), "syntactic_model", _one_value_changed(k, const))
+            old = _outcome(reference_criterion_6, signatures=(name,), depth=1)
+            monkeypatch.undo()
+            assert (new == "raised") == (old == "raised"), (k, const)
+            if new != "raised":
+                assert new == old, (k, const)
+                reports.append(new)
+    assert any(not r["ok"] for r in reports)
 
 
 # ---------------------------------------------------------------------------

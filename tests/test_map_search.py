@@ -2,6 +2,8 @@
 hand-written searches it replaced, kept below verbatim as references:
 the same maps in the same order with the same budget outcomes, the same
 chosen pullback squares and the same pseudo-classifications.  The
+squares are also compared with the search that rechecked every pasting
+at each cone, kept in `constructions`.  The
 references miss a naturality square whose two slots coincide, at a
 fixed point of an endomorphism; on the two-element group the new output
 is the reference output filtered to natural maps."""
@@ -10,12 +12,14 @@ import pytest
 
 from rmtt.acceptance import _pseudo_classifications
 from rmtt.corpus import corpus_bases, corpus_presheaves, two_element_group
+from rmtt.fincat import chain_poset
 from rmtt.rfib import (
     ClassifierChoiceError,
     Inconclusive,
     Presheaf,
     PshMap,
     RfibError,
+    _choose_squares,
     _stable_arrows,
     _universal_squares,
     arrows_iso_over,
@@ -25,6 +29,8 @@ from rmtt.rfib import (
     terminal_psh,
     yoneda,
 )
+
+from constructions import chaotic_category, rechecking_choose_squares
 
 BASES = corpus_bases(0)
 BUDGETS = [None, 0, 1, 5, 20]
@@ -282,6 +288,23 @@ def test_same_maps_with_narrowed_candidates(name, base):
 def test_same_chosen_squares(name, base):
     stable = {c: _stable_arrows(base, c) for c in base.objects}
     assert rep_map_classifier(base).squares == reference_choose_squares(base, stable)
+
+
+# chain posets have one universal cone per square; the chaotic
+# categories' squares have several, and only some choices paste
+SQUARE_BASES = (
+    BASES
+    + [("group2", two_element_group()), ("chaotic2", chaotic_category(2)), ("chaotic3", chaotic_category(3))]
+    + [(f"chain{n}", chain_poset(n)) for n in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("name,base", SQUARE_BASES, ids=[n for n, _ in SQUARE_BASES])
+def test_same_squares_as_rechecking_every_pasting(name, base):
+    """Checking each pasting once, when its last square is chosen, finds
+    the squares the search that rechecks every pasting finds."""
+    stable = {c: _stable_arrows(base, c) for c in base.objects}
+    assert _choose_squares(base, stable) == rechecking_choose_squares(base, stable)
 
 
 @pytest.mark.parametrize("name,base", BASES, ids=[n for n, _ in BASES])
