@@ -27,12 +27,12 @@ from .kernel import (
     SortApp,
     Const,
     NormalizationBudget,
+    apply_subst,
     compose_subst,
     conv,
     enumerate_framework_contexts,
     enumerate_substitutions,
     infer_term,
-    instantiate_many,
     load_signature,
     normalize,
     term_pool,
@@ -251,8 +251,8 @@ def criterion_5(seed=0, per_signature=1000) -> dict:
                 subs = enumerate_substitutions(probe, (), ctx, 4)
                 if subs:
                     s = subs[rng.randrange(len(subs))]
-                    lhs = normalize(probe, instantiate_many(t, s))
-                    rhs = normalize(probe, instantiate_many(nf, s))
+                    lhs = apply_subst(probe, s, t)
+                    rhs = apply_subst(probe, s, nf)
                     if lhs != rhs:
                         failures.append((name, "substitution lemma", t))
                         break

@@ -13,6 +13,7 @@ from .check import (
     SigReport,
     Signature,
     TypeCheckError,
+    apply_subst,
     check_signature,
     check_term,
     check_type,
@@ -25,7 +26,6 @@ from .check import (
     print_signature,
 )
 from .contexts import (
-    apply_subst,
     check_context,
     compose_subst,
     contexts_isomorphic,

@@ -98,16 +98,18 @@ CACHE_LIMIT = 1 << 16
 
 def bounded(cache):
     """The memo, emptied first if it holds CACHE_LIMIT entries.  Called at
-    top-level entry points only, so no computation loses entries it
-    still reads."""
+    top-level entry points, or just before a store into a memo that only
+    its own function reads (`apply_subst`, `infer_term`), so no
+    computation loses entries it still reads."""
     if len(cache) >= CACHE_LIMIT:
         cache.clear()
     return cache
 
 
 class Signature:
-    """Immutable after validation; carries the normal-form cache and the
-    enumeration memos of `contexts`."""
+    """Immutable after validation; carries the memos of normal forms,
+    substitutions and types, and the enumeration memos of `contexts`,
+    all listed in `memos`."""
 
     def __init__(self, items=(), notes=()):
         self.items = tuple(items)  # Declaration | Rule in declaration order
@@ -122,9 +124,10 @@ class Signature:
         self._declarations = tuple(it for it in self.items if isinstance(it, Declaration))
         self.term_decls = tuple(d for d in self._declarations if d.is_term)
         self.sort_decls = tuple(d for d in self._declarations if not d.is_term)
-        self._nf_cache = {}
-        self._term_enum_cache = {}
-        self._buckets = {}
+        # every per-signature memo; each is bounded by CACHE_LIMIT
+        self.memos = (
+            self._nf_cache, self._subst_cache, self._type_cache, self._term_enum_cache, self._buckets
+        ) = ({}, {}, {}, {}, {})
 
     def declarations(self):
         return self._declarations
@@ -464,6 +467,18 @@ def normalize(sig: Signature, t, fuel=DEFAULT_FUEL):
     return nf
 
 
+def apply_subst(sig: Signature, terms, expr):
+    """Instantiate an expression over the target context with the
+    substitution's components and normalize; memoised per signature."""
+    terms = tuple(terms)
+    key = (terms, expr)
+    out = sig._subst_cache.get(key)
+    if out is None:
+        out = normalize(sig, instantiate_many(expr, terms))
+        bounded(sig._subst_cache)[key] = out
+    return out
+
+
 def _norm(sig, t, budget):
     cached = sig._nf_cache.get(t)
     if cached is not None:
@@ -556,16 +571,22 @@ def check_type(sig: Signature, ctx, ty):
 
 def _check_spine(sig, ctx, args, telescope):
     for k, arg in enumerate(args):
-        expected = instantiate_many(telescope[k], tuple(args[:k]))
-        check_term(sig, ctx, arg, expected)
+        check_term(sig, ctx, arg, apply_subst(sig, args[:k], telescope[k]))
 
 
 def infer_term(sig: Signature, ctx, t):
+    """The type of t in ctx; memoised per signature.  Only successes are
+    stored, so an ill-typed term raises again on every call."""
+    ctx = tuple(ctx)
+    key = (ctx, t)
+    ty = sig._type_cache.get(key)
+    if ty is not None:
+        return ty
     if isinstance(t, Var):
         if not (0 <= t.index < len(ctx)):
             raise ScopeError(f"variable index {t.index} out of scope")
-        return shift(ctx[len(ctx) - 1 - t.index], t.index + 1)
-    if isinstance(t, Const):
+        ty = shift(ctx[len(ctx) - 1 - t.index], t.index + 1)
+    elif isinstance(t, Const):
         d = sig.decls.get(t.head)
         if d is None:
             raise ScopeError(f"unbound constant {t.head!r}")
@@ -574,21 +595,24 @@ def infer_term(sig: Signature, ctx, t):
         if len(t.args) != d.arity:
             raise TypeCheckError(f"{t.head!r} expects {d.arity} arguments")
         _check_spine(sig, ctx, t.args, d.telescope)
-        return instantiate_many(d.target, t.args)
-    if isinstance(t, App):
+        ty = instantiate_many(d.target, t.args)
+    elif isinstance(t, App):
         tf = infer_term(sig, ctx, t.fun)
         tf = normalize(sig, tf)
         if not isinstance(tf, PiType):
             raise TypeCheckError(f"applying a non-function of type {pretty(tf)}")
         check_term(sig, ctx, t.arg, tf.dom)
-        return subst(tf.cod, 0, t.arg)
-    if isinstance(t, Lam):
+        ty = subst(tf.cod, 0, t.arg)
+    elif isinstance(t, Lam):
         check_type(sig, ctx, t.dom)
         if not is_rep_type(sig, t.dom):
             raise TypeCheckError("lambda domain must be a representable sort")
         cod = infer_term(sig, ctx + (t.dom,), t.body)
-        return PiType(t.dom, cod)
-    raise TypeCheckError(f"not a term: {t!r}")
+        ty = PiType(t.dom, cod)
+    else:
+        raise TypeCheckError(f"not a term: {t!r}")
+    bounded(sig._type_cache)[key] = ty
+    return ty
 
 
 def check_term(sig, ctx, t, expected):

@@ -14,6 +14,7 @@ from .check import (
     NormalizationBudget,
     Declaration,
     Signature,
+    apply_subst,
     bounded,
     check_type,
     normalize,
@@ -46,12 +47,6 @@ def check_context(sig: Signature, ctx) -> None:
 def identity_subst(ctx):
     n = len(ctx)
     return tuple(Var(n - 1 - k) for k in range(n))
-
-
-def apply_subst(sig: Signature, terms, expr):
-    """Instantiate an expression over the target context with the
-    substitution's components and normalize."""
-    return normalize(sig, instantiate_many(expr, tuple(terms)))
 
 
 def compose_subst(sig: Signature, first, second):
@@ -105,7 +100,7 @@ def _applications(sig, ctx, n):
         for d in sig.term_decls:
             if d.arity < n:
                 for args in _arguments(sig, ctx, d.telescope, (), n - 1):
-                    ty = normalize(sig, instantiate_many(d.target, args))
+                    ty = apply_subst(sig, args, d.target)
                     groups.setdefault(ty, []).append(Const(d.name, args))
         for t, ty in _var_spines(sig, ctx, n):
             groups.setdefault(ty, []).append(t)
@@ -129,7 +124,7 @@ def _var_spines(sig, ctx, n):
                 for head, head_ty in _var_spines(sig, ctx, n - s):
                     if isinstance(head_ty, PiType):
                         for a in _bucket(sig, ctx, normalize(sig, head_ty.dom), s):
-                            out.append((App(head, a), normalize(sig, instantiate_many(head_ty.cod, (a,)))))
+                            out.append((App(head, a), apply_subst(sig, (a,), head_ty.cod)))
             out = tuple(out)
         sig._buckets[key] = out
     return out
@@ -143,7 +138,7 @@ def _arguments(sig, ctx, telescope, prefix, size):
         if size == 0:
             yield ()
         return
-    want = normalize(sig, instantiate_many(telescope[0], prefix))
+    want = apply_subst(sig, prefix, telescope[0])
     rest = telescope[1:]
     for s in range(1, size - len(rest) + 1) if rest else (size,):
         for a in _bucket(sig, ctx, want, s):
@@ -216,7 +211,7 @@ def _substitutions(sig: Signature, src, tgt, size, keep=None):
     sub = [None] * len(tgt)
 
     def fill(k):
-        want = normalize(sig, instantiate_many(tgt[k], tuple(sub[:k])))
+        want = apply_subst(sig, sub[:k], tgt[k])
         for t in enumerate_terms(sig, src, want, size):
             if keep is None or keep(k, t):
                 sub[k] = t

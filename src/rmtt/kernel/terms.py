@@ -15,10 +15,18 @@ spine is always a tuple, and `repr` reads like a dataclass's,
 `Const(head='c', args=())`.  The table holds its nodes weakly, so it is
 bounded by the live terms.
 
+Each node also carries `loose`, its loose-variable bound (Lean 4's
+`Expr.looseBVarRange`): one more than the largest de Bruijn index free
+in it, 0 for a closed node.  It is derived from the children when the
+node is made and is not part of the intern key.
+
 `map_vars` is the single traversal that rebuilds an expression by its
 variables: shifting, substitution, simultaneous instantiation and the
-closing of rule variables are each one `on_var` given to it.
-`free_vars` is the matching fold that only reads them.
+closing of rule variables are each one `on_var` given to it.  Its
+contract is that every `on_var` maps Var(i) met under k binders to
+itself for i < k, so a subterm whose `loose` is at most its binder depth
+is returned as it is, unwalked.  `free_vars` is the matching fold that
+only reads them.
 
 Matching supports first-order patterns with binders: a pattern variable
 occurring under k binders matches a subject that can be unshifted by k
@@ -40,7 +48,7 @@ class _Node:
     """An interned expression node: built only through its class, never
     assigned to, equal to another node only if it is that node."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "loose")
     _fields = ()
 
     def __init_subclass__(cls):
@@ -62,13 +70,20 @@ class _Node:
 
 # a node is always true, so each constructor below is one lookup `or` _make
 _lookup = _table.get
+_set_loose = _Node.loose.__set__
 
 
-def _make(cls, key, values):
-    """A new node of class cls with these field values, entered under key."""
+def _spine_loose(args):
+    return max([a.loose for a in args], default=0)
+
+
+def _make(cls, key, values, loose):
+    """A new node of class cls with these field values and loose-variable
+    bound, entered under key."""
     node = object.__new__(cls)
     for setter, value in zip(cls._setters, values):
         setter(node, value)
+    _set_loose(node, loose)
     _table[key] = node
     return node
 
@@ -78,7 +93,7 @@ class Var(_Node):
 
     def __new__(cls, index):
         key = (cls, index)
-        return _lookup(key) or _make(cls, key, (index,))
+        return _lookup(key) or _make(cls, key, (index,), index + 1)
 
 
 class Const(_Node):
@@ -87,7 +102,7 @@ class Const(_Node):
     def __new__(cls, head, args=()):
         args = tuple(args)
         key = (cls, head, args)
-        return _lookup(key) or _make(cls, key, (head, args))
+        return _lookup(key) or _make(cls, key, (head, args), _spine_loose(args))
 
 
 class App(_Node):
@@ -95,7 +110,7 @@ class App(_Node):
 
     def __new__(cls, fun, arg):
         key = (cls, fun, arg)
-        return _lookup(key) or _make(cls, key, (fun, arg))
+        return _lookup(key) or _make(cls, key, (fun, arg), max(fun.loose, arg.loose))
 
 
 class Lam(_Node):
@@ -103,7 +118,7 @@ class Lam(_Node):
 
     def __new__(cls, dom, body):
         key = (cls, dom, body)
-        return _lookup(key) or _make(cls, key, (dom, body))
+        return _lookup(key) or _make(cls, key, (dom, body), max(dom.loose, body.loose - 1))
 
 
 class SortApp(_Node):
@@ -112,7 +127,7 @@ class SortApp(_Node):
     def __new__(cls, head, args=()):
         args = tuple(args)
         key = (cls, head, args)
-        return _lookup(key) or _make(cls, key, (head, args))
+        return _lookup(key) or _make(cls, key, (head, args), _spine_loose(args))
 
 
 class PiType(_Node):
@@ -120,21 +135,23 @@ class PiType(_Node):
 
     def __new__(cls, dom, cod):
         key = (cls, dom, cod)
-        return _lookup(key) or _make(cls, key, (dom, cod))
+        return _lookup(key) or _make(cls, key, (dom, cod), max(dom.loose, cod.loose - 1))
 
 
 def map_vars(t, on_var, depth=0):
     """Rebuild t, replacing each Var(i) met under k binders (counted from
     depth) with on_var(i, k).  The one traversal that rebuilds expressions
-    by variable; shift, subst and instantiate_many are instances of it."""
+    by variable; shift, subst and instantiate_many are instances of it.
+    on_var(i, k) must be Var(i) for i < k, so a subterm with no variable
+    free above its binders is returned as it is."""
+    if t.loose <= depth:
+        return t
     cls = type(t)
     if cls is Var:
         return on_var(t.index, depth)
     if cls is App:
         return App(map_vars(t.fun, on_var, depth), map_vars(t.arg, on_var, depth))
     if cls is Const or cls is SortApp:
-        if not t.args:
-            return t
         return cls(t.head, tuple([map_vars(a, on_var, depth) for a in t.args]))
     if cls is Lam:
         return Lam(map_vars(t.dom, on_var, depth), map_vars(t.body, on_var, depth + 1))
@@ -179,6 +196,8 @@ def instantiate_many(t, args):
 def free_vars(t, depth=0, acc=None):
     if acc is None:
         acc = set()
+    if t.loose <= depth:
+        return acc
     if isinstance(t, Var):
         if t.index >= depth:
             acc.add(t.index - depth)

@@ -44,8 +44,8 @@ from .rfib import (
 )
 from .search import backtrack
 from .structures import find_structure, structure_shape
-from .kernel.check import MAX_NESTING, REP_SORT, SORT, Declaration, Signature, infer_term, normalize
-from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many, shift, term_size
+from .kernel.check import MAX_NESTING, REP_SORT, SORT, Declaration, Signature, apply_subst, infer_term, normalize
+from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, shift, term_size
 from .kernel.contexts import (
     compose_subst,
     enumerate_framework_contexts,
@@ -775,7 +775,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                     te, t = x
                     y = image[x] = (
                         ctx_act(model, d.telescope, aid, te) if d.telescope else (),
-                        normalize(sig, instantiate_many(t, sub)),
+                        apply_subst(sig, sub, t),
                     )
                     if y not in members[obj_ids[i]]:
                         fibers[obj_ids[i]].append(y)
@@ -809,7 +809,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 try:
                     args = _te_to_terms(model, d.telescope, te, i)
                     t = normalize(sig, Const(d.name, tuple(args)))
-                    want = normalize(sig, instantiate_many(d.target, tuple(args)))
+                    want = apply_subst(sig, args, d.target)
                     v = _term_to_raw(model, i, t, want)
                     table[(c, te)] = v
                 except ModelBudget:
@@ -824,7 +824,7 @@ def _te_to_terms(model: ModelData, tele, te, ctx_index):
     raws = env_list(te, len(tele))
     out = []
     for k, ty in enumerate(tele):
-        out.append(_raw_to_term(model, normalize(model.sig, instantiate_many(ty, tuple(out))), raws[k], ctx_index))
+        out.append(_raw_to_term(model, apply_subst(model.sig, out, ty), raws[k], ctx_index))
     return out
 
 
@@ -839,10 +839,10 @@ def _raw_to_term(model: ModelData, ty, raw, ctx_index):
         if hit is None:
             raise ModelBudget("no extension for a product domain within depth")
         j, fwd, bwd = hit
-        cod_rep = normalize(sig, instantiate_many(ty.cod, bwd))
+        cod_rep = apply_subst(sig, bwd, ty.cod)
         body_rep = _raw_to_term(model, cod_rep, raw, j)
         # body over the representative; translate to the literal extension
-        body = normalize(sig, instantiate_many(body_rep, fwd))
+        body = apply_subst(sig, fwd, body_rep)
         return Lam(dom, body)
     raise ModelError(f"cannot read back a value of type {ty!r}")
 
@@ -855,12 +855,12 @@ def _term_to_raw(model: ModelData, ctx_index, t, ty):
         te = ()
         args_sofar = []
         for k, tel_ty in enumerate(si.tele_ctx):
-            want = normalize(sig, instantiate_many(tel_ty, tuple(args_sofar)))
+            want = apply_subst(sig, args_sofar, tel_ty)
             te = (te, _term_to_raw(model, ctx_index, ty.args[k], want))
             args_sofar.append(ty.args[k])
         elem = (te, normalize(sig, t))
         obj = f"G{ctx_index}"
-        if elem not in set(si.total.fibers[obj]):
+        if elem not in si.family.components[obj]:
             raise ModelBudget("term outside the enumerated fiber")
         return elem
     if isinstance(ty, PiType):
@@ -873,8 +873,8 @@ def _term_to_raw(model: ModelData, ctx_index, t, ty):
         # the value at the generic point: apply to the new variable, then
         # translate along the representative iso
         body = App(shift(t, 1), Var(0)) if not isinstance(t, Lam) else t.body
-        body_rep = normalize(sig, instantiate_many(body, bwd))
-        cod_rep = normalize(sig, instantiate_many(ty.cod, bwd))
+        body_rep = apply_subst(sig, bwd, body)
+        cod_rep = apply_subst(sig, bwd, ty.cod)
         return _term_to_raw(model, j, body_rep, cod_rep)
     raise ModelError(f"cannot interpret a term at type {ty!r}")
 

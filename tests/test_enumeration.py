@@ -32,7 +32,8 @@ from rmtt.kernel import (
     shift,
     term_size,
 )
-from rmtt.kernel import check
+from rmtt.kernel import check, contexts
+from rmtt.kernel.check import bounded
 
 from constructions import polynomial_object
 
@@ -302,16 +303,28 @@ def test_budget_escape_from_types_is_not_cached():
 
 def test_cache_limit_keeps_results(monkeypatch):
     """With every memo emptied at the limit of 8 entries, the shipped
-    signatures give the same enumerations and normal forms."""
+    signatures give the same enumerations and normal forms.  Every memo
+    in `sig.memos` is checked against the limit, and those that check
+    it before each store stay within it."""
     expected = {}
     for name in SIGNATURES:
         sig = fresh(name)
         expected[name] = _survey(sig)
     monkeypatch.setattr(check, "CACHE_LIMIT", 8)
+    checked = {}
+
+    def spy(cache):
+        checked[id(cache)] = cache
+        return bounded(cache)
+
+    monkeypatch.setattr(check, "bounded", spy)
+    monkeypatch.setattr(contexts, "bounded", spy)
     for name in SIGNATURES:
         sig = fresh(name)
         assert _survey(sig) == expected[name]
-        assert len(sig._term_enum_cache) <= 8
+        assert all(id(memo) in checked for memo in sig.memos)
+        for memo in (sig._term_enum_cache, sig._subst_cache, sig._type_cache):
+            assert len(memo) <= 8
 
 
 def _survey(sig):

@@ -218,7 +218,7 @@ def test_emptying_a_memo_frees_its_terms():
     only they held."""
     sig = check.parse_signature(shipped_signature_text("itth"))
     ctx = enumerate_framework_contexts(sig, 2)[-1]
-    memos = (sig._nf_cache, sig._term_enum_cache, sig._buckets)
+    memos = sig.memos
     for memo in memos:
         memo.clear()
     emptied = _table_size()

@@ -6,7 +6,9 @@ verbatim (one copy of the six-constructor walk each).  They are compared
 on every type and term the enumerators produce over the shipped
 signatures, on every declaration and rule of those signatures, and on
 generated expressions with negative shifts, cutoffs and arbitrary
-substitution indices.
+substitution indices.  On the same expressions, and every subexpression
+of them, each node's loose-variable bound is one more than the largest
+variable the reference `ref_free_vars` finds free in it.
 """
 
 import pytest
@@ -31,8 +33,10 @@ from rmtt.kernel import (
     shipped_signature_text,
     shift,
 )
-from rmtt.kernel import check
+from rmtt.kernel import check, terms
 from rmtt.kernel.terms import free_vars, pretty, subst
+
+from test_hashcons import subexpressions
 
 # -- reference implementations ------------------------------------------------
 
@@ -149,12 +153,24 @@ def ref_fv_below(t, depth):
     return out
 
 
+class RuleVar(terms._Node):
+    """The old resolver's placeholder for a rule variable, by name.  Its
+    index is not known until the rule is closed, so its loose-variable
+    bound is infinite: no node holding one counts as closed."""
+
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name):
+        key = (cls, name)
+        return terms._lookup(key) or terms._make(cls, key, (name,), float("inf"))
+
+
 def ref_close_rule_vars(expr, rule_vars, depth=0):
-    """Replace ("rulevar", name) placeholders with de Bruijn indices:
-    the rule context binds rule_vars outermost-first."""
+    """Replace RuleVar placeholders with de Bruijn indices: the rule
+    context binds rule_vars outermost-first."""
     n = len(rule_vars)
-    if isinstance(expr, tuple) and len(expr) == 2 and expr[0] == "rulevar":
-        k = rule_vars.index(expr[1])
+    if isinstance(expr, RuleVar):
+        k = rule_vars.index(expr.name)
         return Var(depth + (n - 1 - k))
     if isinstance(expr, Var):
         return expr
@@ -181,8 +197,8 @@ def ref_close_rule_vars(expr, rule_vars, depth=0):
 
 
 class RefResolver(check._Resolver):
-    """The resolver as it was: rule variables become ("rulevar", name)
-    placeholders, closed afterwards by ref_close_rule_vars."""
+    """The resolver as it was: rule variables become RuleVar placeholders,
+    closed afterwards by ref_close_rule_vars."""
 
     made = []
 
@@ -196,7 +212,7 @@ class RefResolver(check._Resolver):
             if name not in scope and name not in self.decls:
                 if name not in self.rule_vars:
                     self.rule_vars.append(name)
-                out = ("rulevar", name)
+                out = RuleVar(name)
                 for a in args:
                     out = App(out, self.term(a, scope))
                 return out
@@ -236,6 +252,11 @@ def corpus():
     return out
 
 
+def assert_loose_is_free_variable_bound(e):
+    for u in subexpressions(e):
+        assert u.loose == 1 + max(ref_free_vars(u), default=-1)
+
+
 def test_corpus_is_not_trivial(corpus):
     assert all(len(exprs) >= 5 for exprs in corpus.values())
     everything = [e for exprs in corpus.values() for e, _ in exprs]
@@ -262,6 +283,12 @@ def test_identical_on_shipped_expressions(name, corpus):
         for k in range(n + 2):
             args = tuple(fillers[(k + m) % len(fillers)] for m in range(k))
             assert instantiate_many(e, args) == ref_instantiate_many(e, args)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SIGNATURES)
+def test_loose_on_shipped_expressions(name, corpus):
+    for e, _ in corpus[name]:
+        assert_loose_is_free_variable_bound(e)
 
 
 @pytest.mark.parametrize("name", SHIPPED_SIGNATURES)
@@ -330,6 +357,12 @@ def test_free_vars_and_unshift_identical(e, depth):
     assert shift(e, -depth) == ref_shift(e, -depth)
 
 
+@settings(max_examples=300, deadline=None)
+@given(EXPRS)
+def test_loose_identical(e):
+    assert_loose_is_free_variable_bound(e)
+
+
 # Rule expressions: a leaf is a bound variable (an index below the binder
 # depth where it sits) or rule variable k.  Both encodings are built from
 # one description, the placeholder one the old resolver produced and the
@@ -358,7 +391,7 @@ def _encode(desc, depth, placeholders):
     if kind == "bound":
         return Var(desc[1] % depth) if depth else Const("c")
     if kind == "rule":
-        return ("rulevar", f"v{desc[1]}") if placeholders else Var(depth + desc[1])
+        return RuleVar(f"v{desc[1]}") if placeholders else Var(depth + desc[1])
     if kind == "app":
         return App(_encode(desc[1], depth, placeholders), _encode(desc[2], depth, placeholders))
     if kind == "lam":
