@@ -230,7 +230,7 @@ def criterion_5(seed=0, per_signature=1000) -> dict:
                 [Declaration("o", (), SortApp("Ty")),
                  Declaration("c", (), SortApp("El", (Const("o"),)))]
             )
-        pool = term_pool(probe, depth=1, type_size=4, term_size_budget=6, max_contexts=4)
+        pool = term_pool(probe, depth=1, type_size=4, max_term_size=6, max_contexts=4)
         if len(pool) == 0:
             failures.append((name, "empty pool"))
             continue

@@ -2,10 +2,11 @@
 suite, and writes a deterministic JSON report keyed by input hashes.
 
 Exit status: 0 success, 1 verification failure, 2 malformed input,
-3 budget-inconclusive.  `main` is the only place that maps an outcome
-to a status.  The loaders (`@loader`) raise `Malformed` for any
-error in reading or checking a file or argument, or in writing an
-output path; every `cmd_*` loads, computes and calls `run.finish`.
+3 budget-inconclusive (`search.Inconclusive`).  `main` is the only
+place that maps an outcome to a status.  The loaders (`@loader`) raise
+`Malformed` for any error in reading or checking a file or argument,
+or in writing an output path; every `cmd_*` loads, computes and calls
+`run.finish`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .corpus import corpus_generate
 from .fincat import FiniteCategory, names, require_shape, validate_category
 from .kernel import (
     SHIPPED_SIGNATURES,
-    NormalizationBudget,
     check_signature,
     infer_term,
     normalize,
@@ -30,7 +30,6 @@ from .kernel import (
     shipped_signature_text,
 )
 from .models import (
-    ModelBudget,
     check_model,
     heart,
     initial_model,
@@ -40,13 +39,11 @@ from .models import (
     model_from_json,
     model_to_json,
 )
-from .rfib import Inconclusive, Unclassifiable, rep_map_classifier, is_univalent
+from .rfib import Unclassifiable, rep_map_classifier, is_univalent
+from .search import Budget, Inconclusive
 from .structures import NotUnivalent, structure_criteria
 
 OK, FAIL, MALFORMED, INCONCLUSIVE = 0, 1, 2, 3
-
-# a search or normalization that ran out of its budget
-BUDGETS = (Inconclusive, NormalizationBudget, ModelBudget)
 
 
 class Malformed(Exception):
@@ -57,11 +54,11 @@ class Malformed(Exception):
 def loader(fn):
     """Mark fn as a loader: it only reads and checks an input the user
     named, or writes an output the user named, so whatever it raises,
-    budgets aside, means that input or output is malformed."""
+    an Inconclusive aside, means that input or output is malformed."""
     def load(*args):
         try:
             return fn(*args)
-        except (Malformed, *BUDGETS):
+        except (Malformed, Inconclusive):
             raise
         except Exception as e:
             raise Malformed(str(e)) from e
@@ -159,7 +156,7 @@ def _load_base(run, path):
 def cmd_classifier(run, args):
     base = _load_base(run, args.base)
     cls = rep_map_classifier(base)
-    uni = is_univalent(cls.generic, cls.witness, budget=args.iso_budget)
+    uni = is_univalent(cls.generic, cls.witness, budget=Budget("univalence search", args.iso_budget))
     result = {
         "omega_fiber_sizes": [len(cls.omega.fibers[o]) for o in base.objects],
         "pointed_fiber_sizes": [len(cls.omega_pt.fibers[o]) for o in base.objects],
@@ -172,7 +169,8 @@ def cmd_classifier(run, args):
 def cmd_structures(run, args):
     base = _load_base(run, args.base)
     cls = rep_map_classifier(base)
-    rep = structure_criteria(cls.generic, cls.witness, budget=args.iso_budget)
+    # one count for the univalence, classification and structure searches
+    rep = structure_criteria(cls.generic, cls.witness, budget=Budget("structure search", args.iso_budget))
     result = {
         kind: {"closure": v["closure"], "structure_found": v["found"] is not None,
                "agree": v["agree"]}
@@ -431,7 +429,7 @@ def main(argv=None):
         status = args.fn(run, args)
     except (Malformed, NotUnivalent) as e:
         status = run.finish(MALFORMED, {"error": str(e)})
-    except BUDGETS as e:
+    except Inconclusive as e:
         status = run.finish(INCONCLUSIVE, {"error": str(e)})
     except Unclassifiable as e:
         status = run.finish(FAIL, {"error": str(e)})

@@ -294,10 +294,11 @@ def type_term_lifting(m: ModelMorphism) -> dict:
 
 def _chains_of_length(model: ModelData, depth):
     """All comprehension chains from the terminal object with length <=
-    depth, as lists of (stage, type value, projection)."""
+    depth, each as (the object it ends at, the list of (stage, type
+    value, projection))."""
     el = model.sorts["El"]
-    out = [[]]
     frontier = [(model.terminal, [])]
+    out = list(frontier)
     for _ in range(depth):
         new = []
         for (c, chain) in frontier:
@@ -306,9 +307,8 @@ def _chains_of_length(model: ModelData, depth):
                 if key not in el.witness.data:
                     continue
                 obj, proj, gen = el.witness.data[key]
-                chain2 = chain + [(c, t, proj)]
-                out.append(chain2)
-                new.append((obj, chain2))
+                new.append((obj, chain + [(c, t, proj)]))
+        out += new
         frontier = new
     return out
 
@@ -319,17 +319,7 @@ def rlp_against_generating(m: ModelMorphism, depth) -> dict:
     with a type or a term to lift at the top."""
     M, N = m.source, m.target
     F = m.functor
-    el_M = M.sorts["El"]
-
-    def chain_end(chain):
-        c = M.terminal
-        for (stage, t, proj) in chain:
-            obj, _, _ = el_M.witness.data[(stage, ((), t))]
-            c = obj
-        return c
-
-    for chain in _chains_of_length(M, depth):
-        c = chain_end(chain)
+    for c, chain in _chains_of_length(M, depth):
         fc = F.object_map[c]
         image_ty = {m.on("Ty", c, x) for x in _ty_values(M, c)}
         for y in _ty_values(N, fc):

@@ -28,7 +28,6 @@ from .check import (
 from .contexts import (
     check_context,
     compose_subst,
-    contexts_isomorphic,
     enumerate_contexts,
     enumerate_framework_contexts,
     enumerate_substitutions,

@@ -18,6 +18,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from ..search import Inconclusive
 from .terms import (
     App,
     Const,
@@ -54,7 +55,7 @@ class TypeCheckError(KernelError):
     pass
 
 
-class NormalizationBudget(KernelError):
+class NormalizationBudget(KernelError, Inconclusive):
     """No normal form within the fuel budget."""
 
 
@@ -457,13 +458,13 @@ def normalize(sig: Signature, t, fuel=DEFAULT_FUEL):
     if cached is not None:
         return cached
     bounded(cache)  # only a miss stores, so only a miss can reach the limit
-    budget = [fuel]
+    budget = [fuel, fuel]  # the steps left, and the fuel that running out names
     try:
         nf = _norm(sig, t, budget)
         cache[t] = nf
         cache[nf] = nf
     except RecursionError:
-        raise NormalizationBudget("no normal form within budget (rewrite tower too deep)")
+        raise NormalizationBudget(f"no normal form within {fuel} rewrite steps (rewrite tower too deep)")
     return nf
 
 
@@ -517,7 +518,7 @@ def _head_steps(sig, t, budget):
         return t
     budget[0] -= 1
     if budget[0] <= 0:
-        raise NormalizationBudget(f"no normal form within budget near {pretty(t)}")
+        raise NormalizationBudget(f"no normal form within {budget[1]} rewrite steps near {pretty(t)}")
     return _norm(sig, stepped, budget)
 
 

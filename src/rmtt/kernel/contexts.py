@@ -246,11 +246,6 @@ def contexts_iso_subs(sig: Signature, a, b, size=4):
     return None
 
 
-def contexts_isomorphic(sig: Signature, a, b, size=4) -> bool:
-    """Are the contexts isomorphic within the size budget?"""
-    return contexts_iso_subs(sig, a, b, size) is not None
-
-
 def search_contexts(sig: Signature, depth, type_size=4, rep_only=True, iso_size=4):
     """Contexts up to the given length, grown one layer at a time and
     deduplicated up to isomorphism: each extension of a context kept in
@@ -322,7 +317,7 @@ def slice_theory(sig: Signature, ctx, prefix="slice") -> Signature:
 # ---------------------------------------------------------------------------
 
 
-def term_pool(sig: Signature, depth=1, type_size=4, term_size_budget=6, max_contexts=6):
+def term_pool(sig: Signature, depth=1, type_size=4, max_term_size=6, max_contexts=6):
     """A deterministic pool of (context, term) pairs, including reducible
     terms, drawn from enumerated contexts and types."""
     pool = []
@@ -330,7 +325,7 @@ def term_pool(sig: Signature, depth=1, type_size=4, term_size_budget=6, max_cont
     for ctx in ctxs:
         tys = enumerate_types(sig, ctx, type_size)
         for ty in tys:
-            for t in enumerate_terms(sig, ctx, ty, term_size_budget, normal_only=False):
+            for t in enumerate_terms(sig, ctx, ty, max_term_size, normal_only=False):
                 pool.append((ctx, ty, t))
     return pool
 

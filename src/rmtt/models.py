@@ -42,7 +42,7 @@ from .rfib import (
     require_distinct_fibers,
     terminal_psh,
 )
-from .search import backtrack
+from .search import Inconclusive, backtrack
 from .structures import find_structure, structure_shape
 from .kernel.check import MAX_NESTING, REP_SORT, SORT, Declaration, Signature, apply_subst, infer_term, normalize
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, shift, term_size
@@ -62,8 +62,9 @@ class ModelError(Exception):
     pass
 
 
-class ModelBudget(ModelError):
-    """Data missing at the depth boundary of a truncated model."""
+class ModelBudget(ModelError, Inconclusive):
+    """Data missing at the depth boundary of a truncated model, or a
+    construction past its limit."""
 
 
 @dataclass
@@ -309,14 +310,8 @@ def check_model(sig: Signature, model: ModelData) -> ModelReport:
         if si.witness is None:
             wit_bad.append(f"{name}: no comprehension witness")
             continue
-        missing = 0
-        for c in model.base.objects:
-            for te in si.tele_obj.fibers[c]:
-                if (c, te) not in si.witness.data:
-                    missing += 1
-        if missing and model.depth is None:
-            wit_bad.append(f"{name}: {missing} elements without comprehension")
-        probs = si.witness.entry_violations()
+        # a truncated model's witness may miss the entries past its depth
+        probs = si.witness.violations() if model.depth is None else si.witness.entry_violations()
         wit_bad += [f"{name}: {p}" for p in probs[:2]]
     rep.clauses.append(("comprehension", not wit_bad, "; ".join(wit_bad[:3])))
 
@@ -425,21 +420,17 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
     model.extras["structures"] = structures
     model.extras["classifier"] = cls
 
-    def pullback_inverse(kind):
-        """Inverse of the comparison map of a verified pullback square."""
-        s = structures[kind]
+    # the inverse of each verified pullback square's comparison map
+    inverses = {}
+    for kind, s in structures.items():
         sh = structure_shape(t, w, kind)
-        inv = {}
-        for c in base.objects:
-            for x in sh["dom"].fibers[c]:
-                key = (sh["left"].components[c][x], s.top.components[c][x])
-                inv[(c, key)] = x
-        return inv
+        inverses[kind] = {(c, (sh["left"].components[c][x], s.top.components[c][x])): x
+                          for c in base.objects for x in sh["dom"].fibers[c]}
 
     for d in sig.term_decls:
         name = d.name
         if any(name in consts for consts in _STRUCTURE_CONSTANTS.values()):
-            model.term_values[name] = _structure_value_table(model, d, structures, pullback_inverse, t, w)
+            model.term_values[name] = _structure_value_table(model, d, structures, inverses)
         else:
             if not constants or name not in constants:
                 raise ModelError(f"no interpretation supplied for constant {name!r}")
@@ -454,17 +445,11 @@ def _extension_value_table(model, decl, values):
     return {(c, ()): values[c] for c in model.base.objects}
 
 
-def _structure_value_table(model, decl, structures, pullback_inverse, t, w):
+def _structure_value_table(model, decl, structures, inverses):
     base = model.base
     tele_psh = interpret_context(model, decl.telescope)
     table = {}
     name = decl.name
-    inv_cache = {}
-
-    def inv(kind):
-        if kind not in inv_cache:
-            inv_cache[kind] = pullback_inverse(kind)
-        return inv_cache[kind]
 
     for c in base.objects:
         for te in tele_psh.fibers[c]:
@@ -481,7 +466,7 @@ def _structure_value_table(model, decl, structures, pullback_inverse, t, w):
                 v = structures["Sigma"].top.components[c][(A, B, a, b)]
             elif name in ("fst", "snd"):
                 A, B, p = args
-                quad = inv("Sigma")[(c, ((A, B), p))]
+                quad = inverses["Sigma"][(c, ((A, B), p))]
                 v = quad[2] if name == "fst" else quad[3]
             elif name == "Id":
                 A, x, y = args
@@ -491,11 +476,11 @@ def _structure_value_table(model, decl, structures, pullback_inverse, t, w):
                 v = structures["Id"].top.components[c][x]
             elif name == "J":
                 A, C, d_val, x, y, p = args
-                e = inv("Id")[(c, ((x, y), p))]
+                e = inverses["Id"][(c, ((x, y), p))]
                 v = _transport_generic_to(model, c, ((), A), e, d_val)
             elif name == "K":
                 A, x, C, d_val, p = args
-                e = inv("Id")[(c, ((x, x), p))]
+                e = inverses["Id"][(c, ((x, x), p))]
                 if e != x:
                     raise ModelError("identity fiber does not collapse at its reflexivity point")
                 v = d_val
@@ -507,7 +492,7 @@ def _structure_value_table(model, decl, structures, pullback_inverse, t, w):
                 v = structures["Pi"].top.components[c][(A, f)]
             elif name == "app":
                 A, B, g, a = args
-                fel = inv("Pi")[(c, ((A, B), g))][1]
+                fel = inverses["Pi"][(c, ((A, B), g))][1]
                 v = _transport_generic_to(model, c, ((), A), a, fel)
             elif name == "funext":
                 A, B, f, g, h = args
@@ -692,7 +677,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         if key in arrows:
             return arrows[key]
         if len(arrows) >= max_arrows:
-            raise ModelBudget("arrow budget exhausted while closing under composition")
+            raise ModelBudget(f"arrow budget of max_arrows={max_arrows} exhausted while closing under composition")
         aid = f"s{len(arrows)}"
         arrows[key] = aid
         leaving[i].append((j, sub, aid))
@@ -1111,7 +1096,7 @@ def identity_morphism(model: ModelData) -> ModelMorphism:
     return ModelMorphism(model, model, fun, comps)
 
 
-def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget=2000000):
+def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget=None):
     """All valid morphisms M -> N by guided backtracking: object images,
     then arrow images, then sort components drawn from the images that
     family compatibility allows.  Each functor law and each naturality
@@ -1119,9 +1104,9 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
     or component slots is assigned last, and is checked only when that
     one is assigned.  A complete assignment is kept when every
     Beck-Chevalley comparison and every value is preserved, by the
-    predicates `check_morphism` reads.  Raises `Inconclusive` once more
-    than `budget` candidate images have been tried."""
-    steps = [0]
+    predicates `check_morphism` reads.  `budget`, a search.Budget or
+    None, is charged once per candidate image tried and raises
+    `Inconclusive` past its limit."""
     out = []
     baseM, baseN = M.base, N.base
     terminals_N = [o for o in baseN.objects if all(len(baseN.hom(x, o)) == 1 for x in baseN.objects)]
@@ -1151,16 +1136,11 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
             squares[k] = [(i, j, si * len(arrows) + baseM.arr_index(a)) for i, j, a in sq]
     img = [None] * len(slots)
 
-    def tick():
-        steps[0] += 1
-        if steps[0] > budget:
-            from .rfib import Inconclusive
-            raise Inconclusive(f"morphism search exceeded its budget of {budget} steps")
-
     def fill_object(i):
         o = objs[i]
         for n in terminals_N if o == M.terminal else baseN.objects:
-            tick()
+            if budget is not None:
+                budget.charge()
             if all((not baseM.hom(o2, o) or baseN.hom(n2, n)) and (not baseM.hom(o, o2) or baseN.hom(n, n2))
                    for o2, n2 in omap.items()):
                 omap[o] = n
@@ -1171,7 +1151,8 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         a = arrows[k]
         s, t = baseM.src[a], baseM.tgt[a]
         for fa in [baseN.id_of(omap[s])] if baseM.is_identity(a) else baseN.hom(omap[s], omap[t]):
-            tick()
+            if budget is not None:
+                budget.charge()
             amap[a] = fa
             if all(baseN.compose[amap[f], amap[g]] == amap[baseM.compose[f, g]] for f, g in laws[k]):
                 yield
@@ -1187,7 +1168,8 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
         fc = omap[c]
         checks = squares.get(k, ())
         for y in [y for y in siN.total.fibers[fc] if siN.family.components[fc][y] == want]:
-            tick()
+            if budget is not None:
+                budget.charge()
             img[k] = y
             if all(img[j] == acts[a][img[i]] for i, j, a in checks):
                 comp[name][c][x] = y

@@ -11,9 +11,11 @@ comprehension right adjoint), polynomial functors and their
 composition, a classifier built from pullback-stable arrows of the
 base, and a univalence test for representable maps.
 
-All operations are pure, deterministic and exhaustive.  Searches that
-could in principle be large take an explicit budget and raise
-`Inconclusive` instead of silently passing.
+All operations are pure, deterministic and exhaustive.  The searches
+(`enumerate_maps` and everything built on it) take an optional
+`search.Budget`; one handed down to a nested search is shared with it,
+and a search past its limit raises `search.Inconclusive` instead of
+silently passing.  Without a Budget a search is unbounded.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ class NotRepresentable(RfibError):
 
 class Unclassifiable(RfibError):
     pass
-
-
-class Inconclusive(RfibError):
-    """An exhaustive search hit its budget before completing."""
 
 
 class ClassifierChoiceError(RfibError):
@@ -153,15 +151,6 @@ class Presheaf:
             },
         }
 
-    @staticmethod
-    def from_json(base: FiniteCategory, doc: dict) -> "Presheaf":
-        if doc.get("base_hash") != base.content_hash():
-            raise RfibError("presheaf refers to a different base (hash mismatch)")
-        fibers = {o: tuple(doc["fibers"].get(str(o), ())) for o in base.objects}
-        require_distinct_fibers(fibers)
-        action = {a: dict(doc["action"].get(str(a), {})) for a in base.arrow_ids}
-        return Presheaf(base, fibers, action)
-
 
 def require_distinct_fibers(fibers):
     """Raise RfibError if a fibre lists an element twice.  Serialized
@@ -240,12 +229,6 @@ class PshMap:
             for o in self.base.objects
         )
 
-    def inverse(self) -> "PshMap":
-        if not self.is_iso():
-            raise RfibError("not invertible")
-        comps = {o: {y: x for x, y in self.components[o].items()} for o in self.base.objects}
-        return PshMap(self.target, self.source, comps, validate=False)
-
 
 def identity_map(X: Presheaf) -> PshMap:
     return PshMap(X, X, {o: {x: x for x in X.fibers[o]} for o in X.base.objects}, validate=False)
@@ -283,9 +266,10 @@ def enumerate_maps(X: Presheaf, Y: Presheaf, candidates=None, bijective=False, b
 
     `candidates(o, x)` may narrow the images tried for element x at o.
     With bijective=True only isomorphism candidates are produced.
-    `budget` caps the number of search steps; exceeding it raises
-    Inconclusive rather than yielding a partial answer.  Each
-    naturality square is checked when the last of its slots is filled.
+    `budget`, a search.Budget or None, is charged once per candidate
+    image tried and raises Inconclusive past its limit rather than
+    yielding a partial answer.  Each naturality square is checked when
+    the last of its slots is filled.
     """
     base = X.base
     if Y.base != base:
@@ -301,16 +285,13 @@ def enumerate_maps(X: Presheaf, Y: Presheaf, candidates=None, bijective=False, b
         k: [(i, j, Y.action[a]) for i, j, a in sq] for k, sq in naturality_squares(X, slot).items()
     }
     img = [None] * len(slots)
-    steps = 0
 
     def fill(k):
-        nonlocal steps
         o, x = slots[k]
         checks = squares.get(k, ())
         for y in Y.fibers[o] if candidates is None else candidates(o, x):
-            steps += 1
-            if budget is not None and steps > budget:
-                raise Inconclusive(f"map enumeration exceeded budget {budget}")
+            if budget is not None:
+                budget.charge()
             # the slots of o are first[o]..k-1, filled already
             if bijective and y in img[first[o] : k]:
                 continue
@@ -338,7 +319,7 @@ def enumerate_maps_over(q1: PshMap, q2: PshMap, bijective=False, budget=None):
     yield from enumerate_maps(X, Y, candidates=cand, bijective=bijective, budget=budget)
 
 
-def find_iso(X: Presheaf, Y: Presheaf, budget=200000):
+def find_iso(X: Presheaf, Y: Presheaf, budget=None):
     """First natural isomorphism X -> Y, or None when the exhaustive
     search finishes empty.  Budget overrun raises Inconclusive."""
     for m in enumerate_maps(X, Y, bijective=True, budget=budget):
@@ -346,7 +327,7 @@ def find_iso(X: Presheaf, Y: Presheaf, budget=200000):
     return None
 
 
-def find_iso_over(q1: PshMap, q2: PshMap, budget=200000):
+def find_iso_over(q1: PshMap, q2: PshMap, budget=None):
     for m in enumerate_maps_over(q1, q2, bijective=True, budget=budget):
         return m
     return None
@@ -955,7 +936,7 @@ def arrows_iso_over(base: FiniteCategory, a, b) -> bool:
     return False
 
 
-def classify(f: PshMap, cls, wf: ComprehensionWitness = None, budget=500000) -> PshMap:
+def classify(f: PshMap, cls, wf: ComprehensionWitness = None, budget=None) -> PshMap:
     """A map chi : F -> Ty whose pullback of a representable t : El -> Ty
     is isomorphic to f over F, the target of f.
 
@@ -1022,7 +1003,7 @@ class UnivalenceResult:
         return self.ok
 
 
-def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=200000) -> UnivalenceResult:
+def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=None) -> UnivalenceResult:
     """Is classification by f injective?  For every object c and distinct
     elements y1, y2 of the target fiber, the pullbacks of f along them
     must not be isomorphic over y(c).

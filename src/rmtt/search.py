@@ -1,4 +1,26 @@
-"""The backtracking driver every search in the package runs on."""
+"""The backtracking driver every search in the package runs on, and the
+one budget that bounds a search and every search nested in it."""
+
+
+class Inconclusive(Exception):
+    """A search or construction stopped on its budget before completing."""
+
+
+class Budget:
+    """At most `limit` steps for the search named `name`.  A search
+    charges one step per candidate it tries; a search started inside it
+    is handed the same Budget, so the two share one count.  A search
+    given no Budget is unbounded."""
+
+    __slots__ = ("name", "limit", "steps")
+
+    def __init__(self, name, limit):
+        self.name, self.limit, self.steps = name, limit, 0
+
+    def charge(self):
+        self.steps += 1
+        if self.steps > self.limit:
+            raise Inconclusive(f"{self.name} exceeded its budget of {self.limit} steps")
 
 
 def backtrack(k, n, fill):

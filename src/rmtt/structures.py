@@ -276,11 +276,11 @@ def _check(typeof: PshMap, w: ComprehensionWitness, sh, candidate: TypeStructure
     return True, "ok"
 
 
-def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, budget=500000):
+def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, budget=None):
     """First verified structure of the given kind in lexicographic
     candidate order (bottom map, then top map, then eliminator), or None
-    after exhausting the finite search space.  Budget overrun raises
-    Inconclusive.
+    after exhausting the finite search space.  Every map search charges
+    the one `budget`; overrun raises Inconclusive.
 
     Only candidates that can pass are generated, so the first structure
     found is the one the unrestricted search would find; the full check
@@ -365,10 +365,11 @@ def _generic_instance(typeof: PshMap, w, kind: str) -> PshMap:
     raise ValueError(f"no closure criterion for structure kind {kind!r}")
 
 
-def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("Unit", "Sigma", "Id", "Pi"), budget=500000) -> StructureReport:
+def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("Unit", "Sigma", "Id", "Pi"), budget=None) -> StructureReport:
     """For a univalent representable map, decide each closure property and
     the corresponding structure search, and record whether they agree
-    (they must).  Non-univalent maps are rejected."""
+    (they must).  Non-univalent maps are rejected.  The univalence,
+    classification and structure searches all charge the one `budget`."""
     if w is None:
         w = is_representable_map(typeof)
         if w is None:
@@ -394,23 +395,3 @@ def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("U
             "agree": (found is not None) == closure,
         }
     return report
-
-
-def check_left_exact_universe(typeof: PshMap, w: ComprehensionWitness = None, budget=500000):
-    """Univalent + unit + pair + identity structures, with all witnesses
-    bundled into the certificate."""
-    if w is None:
-        w = is_representable_map(typeof)
-        if w is None:
-            raise NotRepresentable("not a representable map")
-    cert = {}
-    uni = is_univalent(typeof, w, budget=budget)
-    cert["univalent"] = uni
-    if not uni.ok:
-        return False, cert
-    for kind in ("Unit", "Sigma", "Id"):
-        s = find_structure(typeof, kind, w, budget=budget)
-        cert[kind] = s
-        if s is None:
-            return False, cert
-    return True, cert

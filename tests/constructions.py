@@ -1,12 +1,14 @@
 """Constructions only the tests use: small categories and presheaves to
-test against, the pushforward's adjunction transposes, the context
-presenting a chain of type families, equality of substitutions up to
-normal form, and the classifier's choice of pullback squares by
-rechecking every pasting.  They decide no claim of the package, so they
+test against, reading a presheaf back from its JSON, the inverse of a
+presheaf isomorphism, the pushforward's adjunction transposes, the
+context presenting a chain of type families, equality of substitutions
+up to normal form, isomorphism of contexts, and the classifier's choice
+of pullback squares by rechecking every pasting.  They decide no claim of the package, so they
 live here rather than in `rmtt`."""
 
 from rmtt.fincat import FiniteCategory
 from rmtt.kernel import App, Declaration, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
+from rmtt.kernel.contexts import contexts_iso_subs
 from rmtt.rfib import (
     ClassifierChoiceError,
     Presheaf,
@@ -15,6 +17,7 @@ from rmtt.rfib import (
     _universal_squares,
     pullback_of_maps,
     pushforward,
+    require_distinct_fibers,
     yoneda,
 )
 from rmtt.search import backtrack
@@ -100,6 +103,24 @@ def psh_limit(base: FiniteCategory, nodes, edges=()):
         comps = {o: {combo: combo[i] for combo in fibers[o]} for o in base.objects}
         projections[n] = PshMap(lim, by_name[n], comps, validate=False)
     return lim, projections
+
+
+def presheaf_from_json(base: FiniteCategory, doc: dict) -> Presheaf:
+    """The presheaf over base that `Presheaf.to_json` wrote as doc."""
+    if doc.get("base_hash") != base.content_hash():
+        raise RfibError("presheaf refers to a different base (hash mismatch)")
+    fibers = {o: tuple(doc["fibers"].get(str(o), ())) for o in base.objects}
+    require_distinct_fibers(fibers)
+    action = {a: dict(doc["action"].get(str(a), {})) for a in base.arrow_ids}
+    return Presheaf(base, fibers, action)
+
+
+def pshmap_inverse(f: PshMap) -> PshMap:
+    """The inverse of a presheaf isomorphism."""
+    if not f.is_iso():
+        raise RfibError("not invertible")
+    comps = {o: {y: x for x, y in f.components[o].items()} for o in f.base.objects}
+    return PshMap(f.target, f.source, comps, validate=False)
 
 
 def yoneda_map(base: FiniteCategory, f) -> PshMap:
@@ -218,6 +239,11 @@ def hom_equal(sig: Signature, s1, s2) -> bool:
     if len(s1) != len(s2):
         return False
     return all(normalize(sig, a) == normalize(sig, b) for a, b in zip(s1, s2))
+
+
+def contexts_isomorphic(sig: Signature, a, b, size=4) -> bool:
+    """Are the contexts isomorphic within the size budget?"""
+    return contexts_iso_subs(sig, a, b, size) is not None
 
 
 # ---------------------------------------------------------------------------

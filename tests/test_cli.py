@@ -66,6 +66,41 @@ def test_normalize_budget_inconclusive(tmp_path):
     assert proc.returncode == 3
 
 
+def test_iso_budget_bounds_every_candidate_structures_tries():
+    """The univalence, classification and structure searches that
+    `rmtt structures` nests charge one count, so the least
+    `--iso-budget` that passes is the number of candidates the command
+    tries, and one less exits 3 with a report naming search and limit."""
+    from rmtt.fincat import FiniteCategory
+    from rmtt.rfib import rep_map_classifier
+    from rmtt.search import Budget
+    from rmtt.structures import structure_criteria
+
+    path = GOLDEN / "corpus" / "base_delta1.json"
+    cls = rep_map_classifier(FiniteCategory.from_json(json.loads(path.read_text())))
+    budget = Budget("structure search", 10**9)
+    structure_criteria(cls.generic, cls.witness, budget=budget)
+    tried = budget.steps
+    proc = run_cli("structures", str(path), "--iso-budget", str(tried - 1))
+    assert proc.returncode == 3
+    assert report(proc)["status"] == "inconclusive"
+    assert report(proc)["result"]["error"] == f"structure search exceeded its budget of {tried - 1} steps"
+    proc = run_cli("structures", str(path), "--iso-budget", str(tried))
+    assert proc.returncode == 0
+    assert all(v["agree"] for v in report(proc)["result"].values())
+
+
+def test_inconclusive_reports_name_their_limit(tmp_path):
+    sig = tmp_path / "loop.sig"
+    sig.write_text("T : sort\nc : T\nloop : (x : T) -> T\nloop(x) ~> loop(loop(x))\n")
+    proc = run_cli("--fuel", "40", "normalize", str(sig), "loop(c)")
+    assert proc.returncode == 3
+    assert report(proc)["result"]["error"].startswith("no normal form within 40 rewrite steps near ")
+    proc = run_cli("--depth", "3", "initial-model", "itth")
+    assert proc.returncode == 3
+    assert "max_arrows=3000" in report(proc)["result"]["error"]
+
+
 def test_classifier_reports_fiber_sizes(tmp_path):
     run_cli("corpus", "--dir", str(tmp_path))
     proc = run_cli("classifier", str(tmp_path / "base_delta1.json"))

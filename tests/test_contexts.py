@@ -11,7 +11,6 @@ from rmtt.kernel import (
     check_context,
     check_signature,
     compose_subst,
-    contexts_isomorphic,
     enumerate_contexts,
     enumerate_framework_contexts,
     enumerate_substitutions,
@@ -26,7 +25,7 @@ from rmtt.kernel import (
 from rmtt.kernel import contexts
 from rmtt.kernel.contexts import contexts_iso_subs
 
-from constructions import hom_equal, polynomial_object
+from constructions import contexts_isomorphic, hom_equal, polynomial_object
 
 
 def ext(sig, name="o"):

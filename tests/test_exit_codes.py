@@ -42,6 +42,32 @@ def test_no_subcommand_catches_exceptions():
     assert offenders == []
 
 
+def test_one_budget_family():
+    """A search is bounded only by a `search.Budget` handed to it: no
+    `budget` parameter in the package defaults to a limit of its own.
+    Only `search.py` raises `Inconclusive` itself, and each of its two
+    subclasses is raised only by the module that defines it."""
+    raisers = {"Inconclusive": "search.py", "NormalizationBudget": "kernel/check.py",
+               "ModelBudget": "models.py"}
+    package = REPO / "src" / "rmtt"
+    defaults, raised = [], []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+                pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                defaults += [(where, ast.unparse(d)) for a, d in pairs
+                             if a.arg == "budget" and not (isinstance(d, ast.Constant) and d.value is None)]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in raisers:
+                if raisers[node.func.id] != where:
+                    raised.append((where, node.func.id))
+    assert defaults == []
+    assert raised == []
+
+
 def run_main(*argv):
     """`rmtt <argv>` in-process; checks the contract and returns the status."""
     out, err = io.StringIO(), io.StringIO()

@@ -28,7 +28,6 @@ from rmtt.kernel.check import normalize
 from rmtt.kernel.contexts import (
     compose_subst,
     contexts_iso_subs,
-    contexts_isomorphic,
     enumerate_substitutions,
     enumerate_terms,
     enumerate_types,
@@ -55,6 +54,8 @@ from rmtt.models import (
     syntactic_model,
 )
 from rmtt.rfib import ComprehensionWitness, Presheaf, PshMap
+
+from constructions import contexts_isomorphic
 
 
 # ---------------------------------------------------------------------------

@@ -145,7 +145,7 @@ def test_subject_reduction_idempotence_substitution(itth):
         Declaration("o", (), SortApp("Ty")),
         Declaration("c", (), SortApp("El", (Const("o"),))),
     ])
-    pool = term_pool(probe, depth=1, type_size=5, term_size_budget=7, max_contexts=4)
+    pool = term_pool(probe, depth=1, type_size=5, max_term_size=7, max_contexts=4)
     assert len(pool) >= 100
     itth = probe
     for ctx, ty, t in pool:

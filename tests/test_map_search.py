@@ -8,6 +8,8 @@ references miss a naturality square whose two slots coincide, at a
 fixed point of an endomorphism; on the two-element group the new output
 is the reference output filtered to natural maps."""
 
+import re
+
 import pytest
 
 from rmtt.acceptance import _pseudo_classifications
@@ -15,7 +17,6 @@ from rmtt.corpus import corpus_bases, corpus_presheaves, two_element_group
 from rmtt.fincat import chain_poset
 from rmtt.rfib import (
     ClassifierChoiceError,
-    Inconclusive,
     Presheaf,
     PshMap,
     RfibError,
@@ -29,6 +30,7 @@ from rmtt.rfib import (
     terminal_psh,
     yoneda,
 )
+from rmtt.search import Budget, Inconclusive
 
 from constructions import chaotic_category, rechecking_choose_squares
 
@@ -245,15 +247,22 @@ def reference_pseudo_classifications(base, cls, F):
     return classes
 
 
-def run(search):
-    """Components of each map yielded, then the Inconclusive message if
-    the search stopped on its budget."""
+def bounded(limit):
+    """A fresh Budget of `limit` steps for the search under test, or None."""
+    return None if limit is None else Budget("map search", limit)
+
+
+def run(search, limit=None):
+    """Components of each map yielded, then ("stopped on its budget",
+    limit) if the search stopped on its budget with a message naming
+    that limit.  The references word their message their own way."""
     out = []
     try:
         for m in search:
             out.append(m.components)
     except Inconclusive as e:
-        out.append(str(e))
+        assert re.search(rf"\b{limit}\b", str(e)), str(e)
+        out.append(("stopped on its budget", limit))
     return out
 
 
@@ -267,8 +276,8 @@ def test_same_maps_order_and_budget_outcomes(name, base):
     for X, Y in pairs(base):
         for bijective in (False, True):
             for budget in BUDGETS:
-                new = run(enumerate_maps(X, Y, bijective=bijective, budget=budget))
-                old = run(reference_enumerate_maps(X, Y, bijective=bijective, budget=budget))
+                new = run(enumerate_maps(X, Y, bijective=bijective, budget=bounded(budget)), budget)
+                old = run(reference_enumerate_maps(X, Y, bijective=bijective, budget=budget), budget)
                 assert new == old, (bijective, budget)
 
 
@@ -280,8 +289,8 @@ def test_same_maps_with_narrowed_candidates(name, base):
             return Y.fibers[o][::-1][: max(1, len(Y.fibers[o]) - 1)]
 
         for budget in (None, 5):
-            new = run(enumerate_maps(X, Y, candidates=cand, budget=budget))
-            assert new == run(reference_enumerate_maps(X, Y, candidates=cand, budget=budget))
+            new = run(enumerate_maps(X, Y, candidates=cand, budget=bounded(budget)), budget)
+            assert new == run(reference_enumerate_maps(X, Y, candidates=cand, budget=budget), budget)
 
 
 @pytest.mark.parametrize("name,base", BASES, ids=[n for n, _ in BASES])

@@ -24,7 +24,7 @@ from rmtt.models import (
     initial_model,
     unique_morphism_from_initial,
 )
-from rmtt.rfib import Inconclusive
+from rmtt.search import Budget, Inconclusive
 
 BASES = {"terminal": terminal_category, "delta1": delta1,
          "chain2": lambda: chain_poset(2), "span": span_category}
@@ -57,7 +57,7 @@ def reference_enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelDa
     def tick():
         steps[0] += 1
         if steps[0] > budget:
-            from rmtt.rfib import Inconclusive
+            from rmtt.search import Inconclusive
             raise Inconclusive("morphism search exceeded its budget")
 
     def assign_objects(i, omap):
@@ -182,6 +182,11 @@ def key(m):
     return (m.functor.object_map, m.functor.arrow_map, m.components)
 
 
+def bounded(sig, M, N, budget):
+    """The search under test, given a fresh Budget of `budget` steps."""
+    return enumerate_model_morphisms(sig, M, N, budget=Budget("morphism search", budget))
+
+
 def outcome(search, sig, M, N, budget=2000000):
     try:
         return [key(m) for m in search(sig, M, N, budget=budget)]
@@ -192,7 +197,7 @@ def outcome(search, sig, M, N, budget=2000000):
 def same_search(sig, M, N, budget=2000000):
     """The outcome of both searches, required to be the same."""
     expected = outcome(reference_enumerate_model_morphisms, sig, M, N, budget)
-    assert outcome(enumerate_model_morphisms, sig, M, N, budget) == expected
+    assert outcome(bounded, sig, M, N, budget) == expected
     return expected
 
 
@@ -283,7 +288,7 @@ def test_same_number_of_steps(classifiers, initials, itth_depth_1):
                 (etth1, initials["etth1"], classifier_model(etth1, delta1())),
                 (itth, itth_depth_1, itth_depth_1)]
     for sig, M, N in searches:
-        n = steps_to_finish(enumerate_model_morphisms, sig, M, N)
+        n = steps_to_finish(bounded, sig, M, N)
         assert outcome(reference_enumerate_model_morphisms, sig, M, N, n - 1) == "inconclusive"
         assert same_search(sig, M, N, n) != "inconclusive"
 
@@ -291,7 +296,7 @@ def test_same_number_of_steps(classifiers, initials, itth_depth_1):
 def test_budget_exceeded_names_the_search(classifiers):
     M = N = classifiers["tthg", "chain2"]
     with pytest.raises(Inconclusive, match=r"^morphism search exceeded its budget of 100 steps$"):
-        enumerate_model_morphisms(load_signature("tthg"), M, N, budget=100)
+        bounded(load_signature("tthg"), M, N, 100)
 
 
 @pytest.mark.scale

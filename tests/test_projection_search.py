@@ -38,6 +38,7 @@ from rmtt.rfib import (
     terminal_psh,
     yoneda,
 )
+from rmtt.search import Budget
 from rmtt.structures import (
     KINDS,
     TypeStructure,
@@ -51,6 +52,12 @@ from rmtt.structures import (
 )
 
 BUDGET = 200000  # the CLI's default --iso-budget
+
+
+def fresh(limit):
+    """A Budget of its own for one search a reference starts: the
+    references gave each nested search a count of its own."""
+    return Budget("reference search", limit)
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +75,8 @@ def reference_find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness 
         if w is None:
             raise NotRepresentable("structures live on representable maps")
     sh = structure_shape(typeof, w, kind)
-    for bottom in enumerate_maps(sh["cod"], typeof.target, budget=budget):
-        for top in enumerate_maps(sh["dom"], typeof.source, budget=budget):
+    for bottom in enumerate_maps(sh["cod"], typeof.target, budget=fresh(budget)):
+        for top in enumerate_maps(sh["dom"], typeof.source, budget=fresh(budget)):
             cand = TypeStructure(kind, bottom, top)
             if kind == "IdPlus":
                 if not _commutes(typeof, sh, bottom, top):
@@ -79,7 +86,7 @@ def reference_find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness 
                 def preimages(o, x):
                     return [p for p in P.fibers[o] if compare.components[o][p] == x]
 
-                for elim in enumerate_maps(Q, P, candidates=preimages, budget=budget):
+                for elim in enumerate_maps(Q, P, candidates=preimages, budget=fresh(budget)):
                     cand2 = TypeStructure(kind, bottom, top, elim)
                     ok, _ = check_structure(typeof, cand2, w)
                     if ok:
@@ -95,7 +102,7 @@ def reference_classified_by(typeof: PshMap, w, g: PshMap, budget=500000):
     """Is g a pullback of typeof?  Search for a map of its target into Ty
     whose pullback of typeof is isomorphic to g over the target."""
     Ty = typeof.target
-    for chi in enumerate_maps(g.target, Ty, budget=budget):
+    for chi in enumerate_maps(g.target, Ty, budget=fresh(budget)):
         P, p_chi_src, p_el = pullback_of_maps(chi, typeof)
         left = PshMap(
             P,
@@ -103,7 +110,7 @@ def reference_classified_by(typeof: PshMap, w, g: PshMap, budget=500000):
             {o: {(x, e): x for (x, e) in P.fibers[o]} for o in g.base.objects},
             validate=False,
         )
-        if find_iso_over(left, g, budget=budget) is not None:
+        if find_iso_over(left, g, budget=fresh(budget)) is not None:
             return chi
     return None
 
@@ -114,7 +121,7 @@ def reference_unit_closure(typeof: PshMap, w, budget) -> bool:
     base = typeof.base
     Ty = typeof.target
     one = terminal_psh(base)
-    for chi in enumerate_maps(one, Ty, budget=budget):
+    for chi in enumerate_maps(one, Ty, budget=fresh(budget)):
         good = True
         for c in base.objects:
             T = chi.components[c][()]
@@ -150,9 +157,9 @@ def reference_classify(f: PshMap, cls: ClassifierData, wf: ComprehensionWitness 
                 )
             cand[(c, x)] = [a for a in cls.omega.fibers[c] if arrows_iso_over(base, proj, a)]
 
-    for chi in enumerate_maps(F, cls.omega, candidates=lambda o, x: cand[(o, x)], budget=budget):
+    for chi in enumerate_maps(F, cls.omega, candidates=lambda o, x: cand[(o, x)], budget=fresh(budget)):
         P, top, left = pullback_of_maps(cls.generic, chi)
-        if find_iso_over(left, f, budget=budget) is not None:
+        if find_iso_over(left, f, budget=fresh(budget)) is not None:
             return chi
     raise Unclassifiable("no classifying map reproduces the given map up to isomorphism")
 
@@ -182,7 +189,7 @@ def reference_is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=20
             )
         for i, y1 in enumerate(ys):
             for y2 in ys[i + 1 :]:
-                iso = find_iso_over(qs[y1], qs[y2], budget=budget)
+                iso = find_iso_over(qs[y1], qs[y2], budget=fresh(budget))
                 if iso is not None:
                     return UnivalenceResult(False, collision=(c, y1, y2, iso.components))
                 checked.append((y1, y2))
@@ -290,7 +297,7 @@ def test_classify_matches_reference(classifiers):
                 maps.append((left, None))
         for f, wf in maps:
             want = _outcome(reference_classify, f, cls, wf, budget=BUDGET)
-            assert _outcome(classify, f, cls, wf, budget=BUDGET) == want, name
+            assert _outcome(classify, f, cls, wf, budget=Budget("classification", BUDGET)) == want, name
             compared += 1
     assert compared >= 50
 
@@ -304,7 +311,7 @@ def test_univalence_matches_reference(classifiers):
     verdicts = set()
     for name, f, wf in cases:
         want = reference_is_univalent(f, wf, budget=BUDGET)
-        assert is_univalent(f, wf, budget=BUDGET) == want, name
+        assert is_univalent(f, wf, budget=Budget("univalence search", BUDGET)) == want, name
         verdicts.add(want.ok)
     assert verdicts == {True, False}
 
@@ -338,14 +345,14 @@ def test_verdict_does_not_depend_on_listing(less):
     verdicts = set()
     for order in itertools.permutations(range(4)):
         cls = rep_map_classifier(_poset(less, order))
-        rep = structure_criteria(cls.generic, cls.witness, budget=BUDGET)  # never Inconclusive
+        rep = structure_criteria(cls.generic, cls.witness, budget=Budget("structure search", BUDGET))  # never Inconclusive
         verdicts.add(tuple((k, v["closure"], v["found"] is not None) for k, v in rep.verdicts.items()))
     assert len(verdicts) == 1
 
 
 def test_pi_decided_on_chain5():
     cls = rep_map_classifier(chain_poset(5))
-    rep = structure_criteria(cls.generic, cls.witness, kinds=("Pi",), budget=BUDGET)
+    rep = structure_criteria(cls.generic, cls.witness, kinds=("Pi",), budget=Budget("structure search", BUDGET))
     assert rep.verdicts["Pi"]["agree"]
     assert rep.verdicts["Pi"]["closure"]
     assert check_structure(cls.generic, rep.verdicts["Pi"]["found"], cls.witness) == (True, "ok")

@@ -25,6 +25,7 @@ from rmtt.rfib import (
 
 from constructions import (
     coproduct_psh,
+    presheaf_from_json,
     psh_limit,
     transpose_from_pushforward,
     transpose_to_pushforward,
@@ -237,10 +238,10 @@ def test_univalence_presentation_invariant(d1):
 def test_presheaf_json_round_trip(d1):
     X = yoneda(d1, "1")
     doc = X.to_json()
-    again = Presheaf.from_json(d1, doc)
+    again = presheaf_from_json(d1, doc)
     assert find_iso(X, again) is not None
     with pytest.raises(RfibError):
-        Presheaf.from_json(terminal_category(), doc)
+        presheaf_from_json(terminal_category(), doc)
     repeated = dict(doc, fibers={o: fib + fib[:1] for o, fib in doc["fibers"].items()})
     with pytest.raises(RfibError, match="twice"):
-        Presheaf.from_json(d1, repeated)
+        presheaf_from_json(d1, repeated)

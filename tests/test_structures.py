@@ -9,11 +9,11 @@ from rmtt.rfib import (
     terminal_psh,
     yoneda,
 )
+from rmtt.search import Budget
 from rmtt.structures import (
     NotUnivalent,
     ShapeMismatch,
     TypeStructure,
-    check_left_exact_universe,
     check_structure,
     find_structure,
     id_plus_problem,
@@ -21,7 +21,7 @@ from rmtt.structures import (
     structure_shape,
 )
 
-from constructions import coproduct_psh
+from constructions import coproduct_psh, pshmap_inverse
 
 
 def test_unit_found_over_delta1_picks_the_identity(d1, d1_cls):
@@ -95,11 +95,8 @@ def test_criteria_reject_non_univalent(d1):
 
 @pytest.mark.parametrize(
     "decide",
-    [
-        lambda cls: structure_criteria(cls.generic, cls.witness, kinds=("Unit",), budget=1234),
-        lambda cls: check_left_exact_universe(cls.generic, cls.witness, budget=1234),
-    ],
-    ids=["structure_criteria", "check_left_exact_universe"],
+    [lambda cls, budget: structure_criteria(cls.generic, cls.witness, kinds=("Unit",), budget=budget)],
+    ids=["structure_criteria"],
 )
 def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch, decide):
     import rmtt.structures as structures
@@ -107,13 +104,14 @@ def test_criteria_bound_the_univalence_search(d1_cls, monkeypatch, decide):
     budgets = []
     real = structures.is_univalent
 
-    def spy(f, wf=None, budget=200000):
+    def spy(f, wf=None, budget=None):
         budgets.append(budget)
         return real(f, wf, budget=budget)
 
     monkeypatch.setattr(structures, "is_univalent", spy)
-    decide(d1_cls)
-    assert budgets == [1234]
+    budget = Budget("structure search", 1234)
+    decide(d1_cls, budget)
+    assert len(budgets) == 1 and budgets[0] is budget
 
 
 def test_unit_structures_all_share_bottom(d1, d1_cls):
@@ -133,7 +131,7 @@ def test_id_extends_to_id_plus(d1_cls):
     s = find_structure(d1_cls.generic, "Id", d1_cls.witness)
     compare, P, Q = id_plus_problem(d1_cls.generic, d1_cls.witness, s.bottom, s.top)
     assert compare.is_iso()
-    elim = compare.inverse()
+    elim = pshmap_inverse(compare)
     cand = TypeStructure("IdPlus", s.bottom, s.top, elim)
     ok, why = check_structure(d1_cls.generic, cand, d1_cls.witness)
     assert ok, why
@@ -142,23 +140,6 @@ def test_id_extends_to_id_plus(d1_cls):
 def test_id_plus_found_directly(d1_cls):
     s = find_structure(d1_cls.generic, "IdPlus", d1_cls.witness)
     assert s is not None and s.elim is not None
-
-
-def test_left_exact_universe(d1_cls):
-    ok, cert = check_left_exact_universe(d1_cls.generic, d1_cls.witness)
-    assert ok
-    assert cert["univalent"].ok
-    for kind in ("Unit", "Sigma", "Id"):
-        assert cert[kind] is not None
-
-
-def test_left_exact_universe_fails_on_doubled(d1):
-    y1 = yoneda(d1, "1")
-    C, _, _ = coproduct_psh(y1, y1)
-    ok, cert = check_left_exact_universe(identity_map(C))
-    assert not ok
-    assert not cert["univalent"].ok
-    assert cert["univalent"].collision is not None
 
 
 def test_structure_transport_along_classifier_iso(d1, d1_cls):
