@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel.check import Declaration, Signature, check_type, normalize
+from .kernel.check import Declaration, Signature, check_context, normalize
 from .kernel.contexts import enumerate_terms
 from .kernel.terms import App, Const, Lam, PiType, SortApp, Var, instantiate_many
 from .models import (
@@ -35,19 +35,12 @@ from .search import backtrack
 def _chain_presentations(model: ModelData, max_len):
     """Comprehension chains from the terminal object: lists of
     (stage, type value) whose comprehension tower presents each stage."""
-    el = model.sorts.get("El")
-    if el is None or el.witness is None:
-        raise ModelError("homotopy calculus needs the El comprehension data")
     chains = {model.terminal: []}
     frontier = [model.terminal]
     for _ in range(max_len):
         new = []
         for c in frontier:
-            for t in _ty_values(model, c):
-                key = (c, ((), t))
-                if key not in el.witness.data:
-                    continue
-                obj, proj, gen = el.witness.data[key]
+            for t, obj, proj, gen in _chain_steps(model, c):
                 if obj not in chains:
                     chains[obj] = chains[c] + [(c, t, proj, gen)]
                     new.append(obj)
@@ -55,15 +48,27 @@ def _chain_presentations(model: ModelData, max_len):
     return chains
 
 
+def _chain_steps(model: ModelData, c):
+    """One step of a comprehension chain up from c for each type value t
+    at c whose El comprehension the model has, in fibre order: (t, the
+    representing object, the projection, the generic element)."""
+    el = model.sorts.get("El")
+    if el is None or el.witness is None:
+        raise ModelError("homotopy calculus needs the El comprehension data")
+    steps = []
+    for t in _ty_values(model, c):
+        hit = el.witness.data.get((c, ((), t)))
+        if hit is not None:
+            steps.append((t,) + hit)
+    return steps
+
+
 def _ty_values(model: ModelData, c):
-    si = model.sorts["Ty"]
-    return [x for x in si.total.fibers[c] if si.family.components[c][x] == ()]
+    return model.sorts["Ty"].family.over(c, ())
 
 
 def _el_values(model: ModelData, c, ty_value):
-    si = model.sorts["El"]
-    want = ((), ty_value)
-    return [x for x in si.total.fibers[c] if si.family.components[c][x] == want]
+    return model.sorts["El"].family.over(c, ((), ty_value))
 
 
 @dataclass
@@ -217,12 +222,7 @@ def pushout_cofibration(base: Signature, cof: CofibrationPresentation, prefix="a
         counter += 1
         decl = Declaration(name, tuple(tele), target)
         probe = sig.extended([decl], note=f"pushout attachment {name}")
-        ctx = ()
-        for ty in decl.telescope:
-            check_type(probe, ctx, ty)
-            ctx = ctx + (ty,)
-        if decl.is_term:
-            check_type(probe, ctx, decl.target)
+        check_context(probe, decl.telescope + (decl.target,))
         sig = probe
     return sig
 
@@ -296,17 +296,12 @@ def _chains_of_length(model: ModelData, depth):
     """All comprehension chains from the terminal object with length <=
     depth, each as (the object it ends at, the list of (stage, type
     value, projection))."""
-    el = model.sorts["El"]
     frontier = [(model.terminal, [])]
     out = list(frontier)
     for _ in range(depth):
         new = []
         for (c, chain) in frontier:
-            for t in _ty_values(model, c):
-                key = (c, ((), t))
-                if key not in el.witness.data:
-                    continue
-                obj, proj, gen = el.witness.data[key]
+            for t, obj, proj, gen in _chain_steps(model, c):
                 new.append((obj, chain + [(c, t, proj)]))
         out += new
         frontier = new

@@ -14,6 +14,7 @@ from .check import (
     Signature,
     TypeCheckError,
     apply_subst,
+    check_context,
     check_signature,
     check_term,
     check_type,
@@ -26,7 +27,6 @@ from .check import (
     print_signature,
 )
 from .contexts import (
-    check_context,
     compose_subst,
     enumerate_contexts,
     enumerate_framework_contexts,

@@ -551,6 +551,14 @@ def is_rep_type(sig: Signature, ty) -> bool:
     return isinstance(ty, SortApp) and sig.decls[ty.head].is_rep_sort
 
 
+def check_context(sig: Signature, ctx) -> None:
+    """Check each type of ctx in the context of the ones before it."""
+    acc = ()
+    for ty in ctx:
+        check_type(sig, acc, ty)
+        acc = acc + (ty,)
+
+
 def check_type(sig: Signature, ctx, ty):
     """ctx: tuple of TypeExpr outermost-first.  Raises on failure."""
     if isinstance(ty, SortApp):
@@ -738,12 +746,8 @@ def _check_items(raw_items):
                     target = res.type(raw_target, scope)
                 decl = Declaration(name, tuple(tele), target)
                 probe = sig.extended([decl])
-                ctx = ()
-                for ty in decl.telescope:
-                    check_type(probe, ctx, ty)
-                    ctx = ctx + (ty,)
-                if decl.is_term:
-                    check_type(probe, ctx, decl.target)
+                # a term's type is checked as one more entry after its telescope
+                check_context(probe, decl.telescope + (decl.target,) if decl.is_term else decl.telescope)
                 sig = probe
             except KernelError as e:
                 report.issues.append(SigIssue(name, str(e)))
@@ -759,10 +763,7 @@ def _check_items(raw_items):
                 if not isinstance(lhs, Const):
                     raise TypeCheckError("rule left sides must be constant-headed")
                 rctx = _infer_rule_context(sig, lhs, n)
-                ctx = ()
-                for ty in rctx:
-                    check_type(sig, ctx, ty)
-                    ctx = ctx + (ty,)
+                check_context(sig, rctx)
                 lt = infer_term(sig, rctx, lhs)
                 rt = infer_term(sig, rctx, rhs)
                 if not conv(sig, lt, rt):

@@ -16,7 +16,7 @@ from .check import (
     Signature,
     apply_subst,
     bounded,
-    check_type,
+    check_context,
     normalize,
 )
 from .terms import (
@@ -35,13 +35,6 @@ from .terms import (
 # ---------------------------------------------------------------------------
 # contexts and substitutions
 # ---------------------------------------------------------------------------
-
-
-def check_context(sig: Signature, ctx) -> None:
-    acc = ()
-    for ty in ctx:
-        check_type(sig, acc, ty)
-        acc = acc + (ty,)
 
 
 def identity_subst(ctx):

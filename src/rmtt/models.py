@@ -164,17 +164,27 @@ def eval_type_fiber(model: ModelData, ctx, ty, c, env):
     if isinstance(ty, SortApp):
         si = model.sort(ty.head)
         te = eval_subst(model, ctx, ty.args, c, env)
-        return [s for s in si.total.fibers[c] if si.family.components[c][s] == te]
+        return si.family.over(c, te)
     if isinstance(ty, PiType):
-        obj, proj, gen, env2 = _generic_extension(model, ctx, ty.dom, c, env)
+        _, _, obj, env2 = _generic_extension(model, ctx, ty.dom, c, env)
         return eval_type_fiber(model, ctx + (ty.dom,), ty.cod, obj, env2)
     raise ModelError(f"cannot interpret type {ty!r}")
 
 
+def _comprehension(si: SortInterp, c, te):
+    """The comprehension (obj, proj, gen) of the instance te at c of a
+    representable sort with interpretation si.  Raises ModelBudget where
+    a truncated model has none."""
+    if si.witness is None or (c, te) not in si.witness.data:
+        raise ModelBudget(f"no comprehension for a {si.decl.name!r} instance at {c!r} within depth")
+    return si.witness.data[(c, te)]
+
+
 def _generic_extension(model, ctx, dom, c, env):
-    """Comprehension data for a representable-sort instance: the
-    representing stage, projection, generic value, and the extended
-    environment at that stage."""
+    """The comprehension of a representable-sort domain at (c, env): the
+    sort's interpretation, the domain's instance, the representing stage
+    and the extended environment there, env moved along the projection
+    with the generic value added."""
     dom = normalize(model.sig, dom)
     if not isinstance(dom, SortApp):
         raise ModelError("dependent product over a non-sort domain")
@@ -182,11 +192,8 @@ def _generic_extension(model, ctx, dom, c, env):
     if si.witness is None:
         raise ModelError(f"sort {dom.head!r} has no comprehension data")
     te = eval_subst(model, ctx, dom.args, c, env)
-    if (c, te) not in si.witness.data:
-        raise ModelBudget(f"no comprehension for a {dom.head!r} instance at {c!r} within depth")
-    obj, proj, gen = si.witness.data[(c, te)]
-    env2 = (ctx_act(model, ctx, proj, env), gen)
-    return obj, proj, gen, env2
+    obj, proj, gen = _comprehension(si, c, te)
+    return si, te, obj, (ctx_act(model, ctx, proj, env), gen)
 
 
 def eval_type_act(model: ModelData, ctx, ty, u, env, v):
@@ -198,15 +205,10 @@ def eval_type_act(model: ModelData, ctx, ty, u, env, v):
         base = model.base
         c = base.tgt[u]
         d = base.src[u]
-        si = model.sort(ty.dom.head)
-        te = eval_subst(model, ctx, ty.dom.args, c, env)
-        obj, proj, gen = si.witness.data[(c, te)]
-        te_d = si.tele_obj.action[u][te]
-        if (d, te_d) not in si.witness.data:
-            raise ModelBudget(f"no comprehension at {d!r} within depth")
-        obj2, proj2, gen2 = si.witness.data[(d, te_d)]
+        si, te, _, env2 = _generic_extension(model, ctx, ty.dom, c, env)
+        obj2, proj2, gen2 = _comprehension(si, d, si.tele_obj.action[u][te])
         m = si.witness.mediate(c, te, obj2, base.comp(u, proj2), gen2)
-        return eval_type_act(model, ctx + (ty.dom,), ty.cod, m, (ctx_act(model, ctx, proj, env), gen), v)
+        return eval_type_act(model, ctx + (ty.dom,), ty.cod, m, env2, v)
     raise ModelError(f"cannot transport along type {ty!r}")
 
 
@@ -220,7 +222,7 @@ def eval_term(model: ModelData, ctx, t, c, env):
         te = eval_subst(model, ctx, t.args, c, env)
         return model.value(t.head, c, te)
     if isinstance(t, Lam):
-        obj, proj, gen, env2 = _generic_extension(model, ctx, t.dom, c, env)
+        _, _, obj, env2 = _generic_extension(model, ctx, t.dom, c, env)
         return eval_term(model, ctx + (t.dom,), t.body, obj, env2)
     if isinstance(t, App):
         fty = normalize(sig, infer_term(sig, tuple(ctx), t.fun))
@@ -228,15 +230,9 @@ def eval_term(model: ModelData, ctx, t, c, env):
             raise ModelError("application of a non-function")
         vf = eval_term(model, ctx, t.fun, c, env)
         va = eval_term(model, ctx, t.arg, c, env)
-        si = model.sort(fty.dom.head)
-        te = eval_subst(model, ctx, fty.dom.args, c, env)
-        if (c, te) not in si.witness.data:
-            raise ModelBudget("no comprehension within depth")
-        obj, proj, gen = si.witness.data[(c, te)]
+        si, te, _, env2 = _generic_extension(model, ctx, fty.dom, c, env)
         sigma = si.witness.mediate(c, te, c, model.base.id_of(c), va)
-        return eval_type_act(
-            model, ctx + (fty.dom,), fty.cod, sigma, (ctx_act(model, ctx, proj, env), gen), vf
-        )
+        return eval_type_act(model, ctx + (fty.dom,), fty.cod, sigma, env2, vf)
     raise ModelError(f"cannot evaluate {t!r}")
 
 
@@ -316,10 +312,9 @@ def check_model(sig: Signature, model: ModelData) -> ModelReport:
     rep.clauses.append(("comprehension", not wit_bad, "; ".join(wit_bad[:3])))
 
     val_bad = []
-    for d in sig.declarations():
-        if not d.is_term or d.name not in model.term_values:
-            if d.is_term and d.name not in model.term_values:
-                val_bad.append(f"{d.name}: no value table")
+    for d in sig.term_decls:
+        if d.name not in model.term_values:
+            val_bad.append(f"{d.name}: no value table")
             continue
         table = model.term_values[d.name]
         stage_fibers = {
@@ -447,6 +442,7 @@ def _extension_value_table(model, decl, values):
 
 def _structure_value_table(model, decl, structures, inverses):
     base = model.base
+    el = model.sort("El")
     tele_psh = interpret_context(model, decl.telescope)
     table = {}
     name = decl.name
@@ -477,7 +473,7 @@ def _structure_value_table(model, decl, structures, inverses):
             elif name == "J":
                 A, C, d_val, x, y, p = args
                 e = inverses["Id"][(c, ((x, y), p))]
-                v = _transport_generic_to(model, c, ((), A), e, d_val)
+                v = el.total.action[el.witness.unit_section(c, e)][d_val]
             elif name == "K":
                 A, x, C, d_val, p = args
                 e = inverses["Id"][(c, ((x, x), p))]
@@ -493,7 +489,7 @@ def _structure_value_table(model, decl, structures, inverses):
             elif name == "app":
                 A, B, g, a = args
                 fel = inverses["Pi"][(c, ((A, B), g))][1]
-                v = _transport_generic_to(model, c, ((), A), a, fel)
+                v = el.total.action[el.witness.unit_section(c, a)][fel]
             elif name == "funext":
                 A, B, f, g, h = args
                 if f != g:
@@ -503,14 +499,6 @@ def _structure_value_table(model, decl, structures, inverses):
                 raise ModelError(f"unknown structure constant {name!r}")
             table[(c, te)] = v
     return table
-
-
-def _transport_generic_to(model, c, te, target_value, generic_value):
-    """Move an element-sort value given at the generic point of a
-    comprehension to the point picked by target_value."""
-    si = model.sort("El")
-    sigma = si.witness.mediate(c, te, c, model.base.id_of(c), target_value)
-    return si.total.action[sigma][generic_value]
 
 
 # ---------------------------------------------------------------------------
@@ -897,31 +885,14 @@ def map_value(m: ModelMorphism, ctx, ty, c, env, v):
     if isinstance(ty, SortApp):
         return m.on(ty.head, c, v)
     if isinstance(ty, PiType):
-        dom = normalize(M.sig, ty.dom)
-        siM = M.sorts[dom.head]
-        siN = N.sorts[dom.head]
-        te = eval_subst(M, ctx, dom.args, c, env)
-        if (c, te) not in siM.witness.data:
-            raise ModelBudget("no source comprehension within depth")
-        obj, proj, gen = siM.witness.data[(c, te)]
-        env2 = (ctx_act(M, ctx, proj, env), gen)
-        fc = m.functor.object_map[c]
-        te_n = map_env(m, _dom_tele(M, dom), c, te)
-        if siN.witness is None or (fc, te_n) not in siN.witness.data:
-            raise ModelBudget("no target comprehension within depth")
-        fobj = m.functor.object_map[obj]
-        h = siN.witness.mediate(fc, te_n, fobj, m.functor.arrow_map[proj], m.on(dom.head, obj, gen))
-        inverse = N.base.inverse(h)
+        si, te, obj, env2 = _generic_extension(M, ctx, ty.dom, c, env)
+        inverse = N.base.inverse(_comparison(m, si.decl.name, c, te))
         if inverse is None:
             raise ModelError("comparison arrow is not invertible")
-        v_img = map_value(m, ctx + (dom,), ty.cod, obj, env2, v)
-        env_n = map_env(m, ctx + (dom,), obj, env2)
-        return eval_type_act(N, ctx + (dom,), ty.cod, inverse, env_n, v_img)
+        v_img = map_value(m, ctx + (ty.dom,), ty.cod, obj, env2, v)
+        env_n = map_env(m, ctx + (ty.dom,), obj, env2)
+        return eval_type_act(N, ctx + (ty.dom,), ty.cod, inverse, env_n, v_img)
     raise ModelError(f"cannot map a value of type {ty!r}")
-
-
-def _dom_tele(model, dom):
-    return model.sorts[dom.head].tele_ctx
 
 
 def map_env(m: ModelMorphism, tele_ctx, c, te):
@@ -970,20 +941,29 @@ def _family_image(m: ModelMorphism, name, c, x):
 SKIPPED = "skipped at depth"
 
 
-def _beck_chevalley(m: ModelMorphism, name, c, te):
-    """The Beck-Chevalley condition at the comprehension of sort `name`'s
-    instance te over c: None when the comparison arrow from the image of
-    the source comprehension to the target comprehension is invertible,
-    a failure message when it is missing or not invertible, or SKIPPED."""
+def _comparison(m: ModelMorphism, name, c, te):
+    """The comparison arrow from the image of the comprehension of sort
+    `name`'s instance te over c to the target's comprehension of the
+    image instance.  Raises ModelBudget where a truncated model has no
+    comprehension for either, and RfibError where the target's is not
+    terminal."""
     siM, siN = m.source.sorts[name], m.target.sorts[name]
-    obj, proj, gen = siM.witness.data[(c, te)]
+    obj, proj, gen = _comprehension(siM, c, te)
     fc = m.functor.object_map[c]
     te_n = map_env(m, siM.tele_ctx, c, te)
-    if siN.witness is None or (fc, te_n) not in siN.witness.data:
-        return SKIPPED
+    _comprehension(siN, fc, te_n)  # present, or ModelBudget; mediate reads it
     fobj = m.functor.object_map[obj]
+    return siN.witness.mediate(fc, te_n, fobj, m.functor.arrow_map[proj], m.on(name, obj, gen))
+
+
+def _beck_chevalley(m: ModelMorphism, name, c, te):
+    """The Beck-Chevalley condition at the comprehension of sort `name`'s
+    instance te over c: None when the comparison arrow is invertible, a
+    failure message when it is missing or not invertible, or SKIPPED."""
     try:
-        h = siN.witness.mediate(fc, te_n, fobj, m.functor.arrow_map[proj], m.on(name, obj, gen))
+        h = _comparison(m, name, c, te)
+    except ModelBudget:
+        return SKIPPED
     except RfibError:
         return f"{name}: no comparison arrow at {c!r}"
     if m.target.base.inverse(h) is None:
@@ -1167,7 +1147,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
             return  # telescope mapping not decided yet (cannot happen in decl order)
         fc = omap[c]
         checks = squares.get(k, ())
-        for y in [y for y in siN.total.fibers[fc] if siN.family.components[fc][y] == want]:
+        for y in siN.family.over(fc, want):
             if budget is not None:
                 budget.charge()
             img[k] = y

@@ -2,14 +2,18 @@
 representable maps between them.
 
 A presheaf stands in for a discrete fibration over the base: fibers are
-finite sets, arrows act contravariantly.  A map of presheaves is
-representable when every element of its target has a comprehension: a
-representing object, projection arrow and generic element that are
-terminal among pairs (base arrow, source element) lying over the
-element.  Representability gives pushforwards (pullback along the
+finite sets, arrows act contravariantly.  A map of presheaves is read
+through its fibre over an element, `PshMap.over`.  It is representable
+when every element of its target has a comprehension: a representing
+object, projection arrow and generic element that are terminal among
+pairs (base arrow, source element) lying over the element.
+`is_representable_map` finds these as a `ComprehensionWitness`, and
+`require_witness` does the same where a construction cannot go on
+without one.  Representability gives pushforwards (pullback along the
 comprehension right adjoint), polynomial functors and their
 composition, a classifier built from pullback-stable arrows of the
-base, and a univalence test for representable maps.
+base, classification narrowed by Yoneda (`classifying_candidates`), and
+a univalence test for representable maps.
 
 All operations are pure, deterministic and exhaustive.  The searches
 (`enumerate_maps` and everything built on it) take an optional
@@ -168,6 +172,7 @@ class PshMap:
         self.source = source
         self.target = target
         self.components = {o: dict(components.get(o, {})) for o in source.base.objects}
+        self._fibres = None  # o -> {y: elements over y}, built by `over`
         if validate:
             problems = self.violations()
             if problems:
@@ -176,6 +181,22 @@ class PshMap:
     @property
     def base(self):
         return self.source.base
+
+    def over(self, o, y):
+        """The elements of the source at o that this map sends to y, as a
+        tuple in fibre order: the fibre of the map over y.
+
+        The index of every fibre is built on the first call and kept on
+        the map, which is sound because maps are not changed after they
+        are built."""
+        if self._fibres is None:
+            self._fibres = {}
+            for c, fib in self.source.fibers.items():
+                comp, at = self.components[c], {}
+                for x in fib:
+                    at.setdefault(comp[x], []).append(x)
+                self._fibres[c] = {z: tuple(xs) for z, xs in at.items()}
+        return self._fibres[o].get(y, ())
 
     def violations(self):
         out = []
@@ -306,17 +327,11 @@ def enumerate_maps(X: Presheaf, Y: Presheaf, candidates=None, bijective=False, b
 
 def enumerate_maps_over(q1: PshMap, q2: PshMap, bijective=False, budget=None):
     """Natural maps phi : dom(q1) -> dom(q2) with q2 . phi = q1."""
-    X, Y = q1.source, q2.source
-    # over[o][z]: the elements of Y at o that q2 sends to z, in fibre order
-    over = {o: {} for o in Y.base.objects}
-    for o, fib in Y.fibers.items():
-        for y in fib:
-            over[o].setdefault(q2.components[o][y], []).append(y)
 
     def cand(o, x):
-        return over[o].get(q1.components[o][x], ())
+        return q2.over(o, q1.components[o][x])
 
-    yield from enumerate_maps(X, Y, candidates=cand, bijective=bijective, budget=budget)
+    yield from enumerate_maps(q1.source, q2.source, candidates=cand, bijective=bijective, budget=budget)
 
 
 def find_iso(X: Presheaf, Y: Presheaf, budget=None):
@@ -398,12 +413,7 @@ def pullback_of_maps(f: PshMap, g: PshMap):
     X, Y = f.source, g.source
     fibers = {}
     for o in base.objects:
-        fibers[o] = tuple(
-            (x, y)
-            for x in X.fibers[o]
-            for y in Y.fibers[o]
-            if f.components[o][x] == g.components[o][y]
-        )
+        fibers[o] = tuple((x, y) for x in X.fibers[o] for y in g.over(o, f.components[o][x]))
     action = {}
     for a in base.arrow_ids:
         t = base.tgt[a]
@@ -561,14 +571,22 @@ def is_representable_map(f: PshMap):
     return ComprehensionWitness(f, data)
 
 
+def require_witness(f: PshMap, why: str) -> ComprehensionWitness:
+    """The comprehension witness of f; raises NotRepresentable(why) when f
+    is not representable."""
+    wf = is_representable_map(f)
+    if wf is None:
+        raise NotRepresentable(why)
+    return wf
+
+
 def _comprehension(f, c, y):
     """The first terminal (obj, proj, gen) over y at c, or None."""
     base = f.base
     for obj in base.objects:
         for proj in base.hom(obj, c):
-            over = f.target.action[proj][y]
-            for gen in f.source.fibers[obj]:
-                if f.components[obj][gen] == over and _is_terminal_pair(f, c, y, obj, proj, gen):
+            for gen in f.over(obj, f.target.action[proj][y]):
+                if _is_terminal_pair(f, c, y, obj, proj, gen):
                     return (obj, proj, gen)
     return None
 
@@ -578,10 +596,7 @@ def _is_terminal_pair(f, c, y, obj, proj, gen):
     E, B = f.source, f.target
     for d in base.objects:
         for g in base.hom(d, c):
-            over = B.action[g][y]
-            for x in E.fibers[d]:
-                if f.components[d][x] != over:
-                    continue
+            for x in f.over(d, B.action[g][y]):
                 hits = 0
                 for u in base.hom(d, obj):
                     if base.comp(proj, u) == g and E.action[u][gen] == x:
@@ -635,9 +650,7 @@ def pushforward(f: PshMap, g: PshMap, wf: ComprehensionWitness = None) -> PshMap
     sections of g pulled back over the comprehension.  Element ids are
     (y, x) pairs.  Returns the structure map pf_*X -> B."""
     if wf is None:
-        wf = is_representable_map(f)
-        if wf is None:
-            raise NotRepresentable("pushforward along a non-representable map")
+        wf = require_witness(f, "pushforward along a non-representable map")
     if g.target != f.source:
         raise RfibError("pushforward: g must land in the source of f")
     base = f.base
@@ -648,9 +661,8 @@ def pushforward(f: PshMap, g: PshMap, wf: ComprehensionWitness = None) -> PshMap
         elems = []
         for y in B.fibers[c]:
             obj, proj, gen = wf.data[(c, y)]
-            for x in X.fibers[obj]:
-                if g.components[obj][x] == gen:
-                    elems.append((y, x))
+            for x in g.over(obj, gen):
+                elems.append((y, x))
         fibers[c] = tuple(elems)
     action = {}
     for a in base.arrow_ids:
@@ -668,9 +680,7 @@ def polynomial_apply(f: PshMap, X: Presheaf, wf: ComprehensionWitness = None) ->
     pull back along dom, push forward along f, forget to the base.
     Fibers are pairs (y in B(c), x in X over the comprehension of y)."""
     if wf is None:
-        wf = is_representable_map(f)
-        if wf is None:
-            raise NotRepresentable("polynomial of a non-representable map")
+        wf = require_witness(f, "polynomial of a non-representable map")
     base = f.base
     B = f.target
     fibers = {}
@@ -717,11 +727,9 @@ def polynomial_compose(f: PshMap, g: PshMap, wf=None, wg=None):
     over y, and a g-source element e2 over b evaluated at e.  Satisfies
     P_{f (x) g} iso P_f . P_g on every presheaf."""
     if wf is None:
-        wf = is_representable_map(f)
+        wf = require_witness(f, "polynomial composition needs representable maps")
     if wg is None:
-        wg = is_representable_map(g)
-    if wf is None or wg is None:
-        raise NotRepresentable("polynomial composition needs representable maps")
+        wg = require_witness(g, "polynomial composition needs representable maps")
     base = f.base
     B1, E1 = f.target, f.source
     B2, E2 = g.target, g.source
@@ -735,13 +743,9 @@ def polynomial_compose(f: PshMap, g: PshMap, wf=None, wg=None):
     for c in base.objects:
         elems = []
         for (y, b) in cod.fibers[c]:
-            for e in E1.fibers[c]:
-                if f.components[c][e] != y:
-                    continue
-                target_b = ev(c, y, b, e)
-                for e2 in E2.fibers[c]:
-                    if g.components[c][e2] == target_b:
-                        elems.append((y, b, e, e2))
+            for e in f.over(c, y):
+                for e2 in g.over(c, ev(c, y, b, e)):
+                    elems.append((y, b, e, e2))
         fibers[c] = tuple(elems)
     action = {}
     for a in base.arrow_ids:
@@ -936,6 +940,20 @@ def arrows_iso_over(base: FiniteCategory, a, b) -> bool:
     return False
 
 
+def classifying_candidates(wf: ComprehensionWitness, wt: ComprehensionWitness):
+    """The Yoneda narrowing of a map classifying wf's map f by wt's map t:
+    {(c, x): the elements T of t's target at c whose projection
+    wt.proj(c, T) is isomorphic over c to wf.proj(c, x)}, for each x in
+    f's target at c.  Only those T can classify x, since the pullbacks of
+    f along x and of t along T are these projections."""
+    base = wf.map.base
+    return {
+        (c, x): [T for T in wt.map.target.fibers[c] if arrows_iso_over(base, wf.proj(c, x), wt.proj(c, T))]
+        for c in base.objects
+        for x in wf.map.target.fibers[c]
+    }
+
+
 def classify(f: PshMap, cls, wf: ComprehensionWitness = None, budget=None) -> PshMap:
     """A map chi : F -> Ty whose pullback of a representable t : El -> Ty
     is isomorphic to f over F, the target of f.
@@ -950,23 +968,16 @@ def classify(f: PshMap, cls, wf: ComprehensionWitness = None, budget=None) -> Ps
         cls = (cls.generic, cls.witness)
     t, wt = cls
     if wf is None:
-        wf = is_representable_map(f)
-        if wf is None:
-            raise NotRepresentable("only representable maps are classified")
-    base = f.base
-    F, Ty = f.target, t.target
-    cand = {}
-    for c in base.objects:
-        for x in F.fibers[c]:
-            proj = wf.proj(c, x)
-            cand[(c, x)] = [T for T in Ty.fibers[c] if arrows_iso_over(base, proj, wt.proj(c, T))]
-            if not cand[(c, x)]:
-                raise Unclassifiable(
-                    f"comprehension projection {proj!r} of {x!r} at {c!r} is isomorphic to "
-                    "no projection of the classifying map"
-                )
+        wf = require_witness(f, "only representable maps are classified")
+    cand = classifying_candidates(wf, wt)
+    for (c, x), types in cand.items():
+        if not types:
+            raise Unclassifiable(
+                f"comprehension projection {wf.proj(c, x)!r} of {x!r} at {c!r} is isomorphic to "
+                "no projection of the classifying map"
+            )
 
-    for chi in enumerate_maps(F, Ty, candidates=lambda o, x: cand[(o, x)], budget=budget):
+    for chi in enumerate_maps(f.target, t.target, candidates=lambda o, x: cand[(o, x)], budget=budget):
         P, top, left = pullback_of_maps(t, chi)
         if find_iso_over(left, f, budget=budget) is not None:
             return chi
@@ -1014,9 +1025,7 @@ def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=None) -> Uni
     certified by an isomorphism of its two pullbacks, found by
     find_iso_over within `budget`."""
     if wf is None:
-        wf = is_representable_map(f)
-        if wf is None:
-            raise NotRepresentable("univalence is defined for representable maps")
+        wf = require_witness(f, "univalence is defined for representable maps")
     base = f.base
     B = f.target
     table = {}

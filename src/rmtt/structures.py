@@ -25,8 +25,8 @@ from .rfib import (
     PshMap,
     RfibError,
     Unclassifiable,
-    arrows_iso_over,
     classify,
+    classifying_candidates,
     enumerate_maps,
     enumerate_maps_over,
     equalizer_of_maps,
@@ -41,6 +41,7 @@ from .rfib import (
     pullback_of_maps,
     pullback_witness,
     pushforward,
+    require_witness,
     terminal_psh,
 )
 
@@ -161,9 +162,7 @@ def id_plus_problem(typeof: PshMap, w: ComprehensionWitness, bottom: PshMap, top
     # A = the family classified by the bottom edge, over Ty via its corner
     A, p_I, p_El = pullback_of_maps(bottom, typeof)
     a = p_El.then(typeof)
-    wa = is_representable_map(a)
-    if wa is None:
-        raise NotRepresentable("identity family is not representable over Ty; exponential unavailable")
+    wa = require_witness(a, "identity family is not representable over Ty; exponential unavailable")
 
     # rho : El -> A over Ty, from the commuting square
     rho = PshMap(
@@ -247,9 +246,7 @@ def check_structure(typeof: PshMap, candidate: TypeStructure, w: ComprehensionWi
     section equation for the intensional identity kind).  Shape errors
     (wrong domains) raise ShapeMismatch instead of returning False."""
     if w is None:
-        w = is_representable_map(typeof)
-        if w is None:
-            raise NotRepresentable("structures live on representable maps")
+        w = require_witness(typeof, "structures live on representable maps")
     return _check(typeof, w, structure_shape(typeof, w, candidate.kind), candidate)
 
 
@@ -289,11 +286,7 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
     representable, and by pasting and Yoneda its projection wl.proj(c, x)
     is isomorphic over c to the projection w.proj(c, bottom(x)) of t."""
     if w is None:
-        w = is_representable_map(typeof)
-        if w is None:
-            raise NotRepresentable("structures live on representable maps")
-    base = typeof.base
-    Ty = typeof.target
+        w = require_witness(typeof, "structures live on representable maps")
     sh = structure_shape(typeof, w, kind)
     left = sh["left"]
     bottoms = None  # an IdPlus square need not be a pullback
@@ -301,16 +294,12 @@ def find_structure(typeof: PshMap, kind: str, w: ComprehensionWitness = None, bu
         wl = is_representable_map(left)
         if wl is None:
             return None
-        types = {
-            (c, x): [T for T in Ty.fibers[c] if arrows_iso_over(base, wl.proj(c, x), w.proj(c, T))]
-            for c in base.objects
-            for x in sh["cod"].fibers[c]
-        }
+        types = classifying_candidates(wl, w)
 
         def bottoms(o, x):
             return types[(o, x)]
 
-    for bottom in enumerate_maps(sh["cod"], Ty, candidates=bottoms, budget=budget):
+    for bottom in enumerate_maps(sh["cod"], typeof.target, candidates=bottoms, budget=budget):
         for top in enumerate_maps_over(left.then(bottom), typeof, budget=budget):
             if kind == "IdPlus":
                 compare, P, Q = id_plus_problem(typeof, w, bottom, top)
@@ -371,9 +360,7 @@ def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("U
     (they must).  Non-univalent maps are rejected.  The univalence,
     classification and structure searches all charge the one `budget`."""
     if w is None:
-        w = is_representable_map(typeof)
-        if w is None:
-            raise NotRepresentable("criteria are stated for representable maps")
+        w = require_witness(typeof, "criteria are stated for representable maps")
     uni = is_univalent(typeof, w, budget=budget)
     if not uni.ok:
         c, y1, y2, _ = uni.collision

@@ -2,8 +2,9 @@
 test against, reading a presheaf back from its JSON, the inverse of a
 presheaf isomorphism, the pushforward's adjunction transposes, the
 context presenting a chain of type families, equality of substitutions
-up to normal form, isomorphism of contexts, and the classifier's choice
-of pullback squares by rechecking every pasting.  They decide no claim of the package, so they
+up to normal form, isomorphism of contexts, the classifier's choice
+of pullback squares by rechecking every pasting, and the fibre scans
+that `PshMap.over` replaced.  They decide no claim of the package, so they
 live here rather than in `rmtt`."""
 
 from rmtt.fincat import FiniteCategory
@@ -11,10 +12,14 @@ from rmtt.kernel import App, Declaration, KernelError, PiType, Signature, SortAp
 from rmtt.kernel.contexts import contexts_iso_subs
 from rmtt.rfib import (
     ClassifierChoiceError,
+    ComprehensionWitness,
+    NotRepresentable,
     Presheaf,
     PshMap,
     RfibError,
+    _transport,
     _universal_squares,
+    polynomial_apply,
     pullback_of_maps,
     pushforward,
     require_distinct_fibers,
@@ -326,3 +331,179 @@ def rechecking_choose_squares(base, stable):
             for a in stable[c]
         }
     raise ClassifierChoiceError("no strictly functorial choice of pullback squares")
+
+
+# ---------------------------------------------------------------------------
+# fibre scans
+# ---------------------------------------------------------------------------
+
+# The references for `rmtt.rfib`'s `pullback_of_maps`, `pushforward`,
+# `polynomial_compose` and `is_representable_map`, which read the fibre
+# of a map over an element with `PshMap.over`: the earlier bodies, kept
+# verbatim, each scanning a whole fibre for the elements over one
+# element.  Calls among them go to the references.
+
+
+def reference_pullback_of_maps(f: PshMap, g: PshMap):
+    """Pointwise pullback of the cospan f : X -> B <- Y : g.
+
+    Elements are pairs (x, y) with f(x) == g(y), in (f-side, g-side)
+    order.  Returns (P, to_dom_f, to_dom_g)."""
+    if f.target != g.target:
+        raise RfibError("cospan legs must share their target")
+    base = f.base
+    X, Y = f.source, g.source
+    fibers = {}
+    for o in base.objects:
+        fibers[o] = tuple(
+            (x, y)
+            for x in X.fibers[o]
+            for y in Y.fibers[o]
+            if f.components[o][x] == g.components[o][y]
+        )
+    action = {}
+    for a in base.arrow_ids:
+        t = base.tgt[a]
+        action[a] = {
+            (x, y): (X.action[a][x], Y.action[a][y]) for (x, y) in fibers[t]
+        }
+    P = Presheaf(base, fibers, action, validate=False)
+    p1 = PshMap(P, X, {o: {(x, y): x for (x, y) in fibers[o]} for o in base.objects}, validate=False)
+    p2 = PshMap(P, Y, {o: {(x, y): y for (x, y) in fibers[o]} for o in base.objects}, validate=False)
+    return P, p1, p2
+
+
+def reference_is_representable_map(f: PshMap):
+    """Comprehension witness for f, or None.
+
+    The witness is chosen deterministically: representing data is
+    searched in (object order, arrow order, fiber order)."""
+    data = {}
+    for c in f.base.objects:
+        for y in f.target.fibers[c]:
+            data[(c, y)] = reference_comprehension(f, c, y)
+            if data[(c, y)] is None:
+                return None
+    return ComprehensionWitness(f, data)
+
+
+def reference_comprehension(f, c, y):
+    """The first terminal (obj, proj, gen) over y at c, or None."""
+    base = f.base
+    for obj in base.objects:
+        for proj in base.hom(obj, c):
+            over = f.target.action[proj][y]
+            for gen in f.source.fibers[obj]:
+                if f.components[obj][gen] == over and reference_is_terminal_pair(f, c, y, obj, proj, gen):
+                    return (obj, proj, gen)
+    return None
+
+
+def reference_is_terminal_pair(f, c, y, obj, proj, gen):
+    base = f.base
+    E, B = f.source, f.target
+    for d in base.objects:
+        for g in base.hom(d, c):
+            over = B.action[g][y]
+            for x in E.fibers[d]:
+                if f.components[d][x] != over:
+                    continue
+                hits = 0
+                for u in base.hom(d, obj):
+                    if base.comp(proj, u) == g and E.action[u][gen] == x:
+                        hits += 1
+                        if hits > 1:
+                            return False
+                if hits != 1:
+                    return False
+    return True
+
+
+def reference_pushforward(f: PshMap, g: PshMap, wf: ComprehensionWitness = None) -> PshMap:
+    """Pushforward of g : X -> dom(f) along a representable f : E -> B.
+
+    The fiber over y in B(c) is the set of elements of X over the
+    comprehension of y that lie over its generic element; equivalently,
+    sections of g pulled back over the comprehension.  Element ids are
+    (y, x) pairs.  Returns the structure map pf_*X -> B."""
+    if wf is None:
+        wf = reference_is_representable_map(f)
+        if wf is None:
+            raise NotRepresentable("pushforward along a non-representable map")
+    if g.target != f.source:
+        raise RfibError("pushforward: g must land in the source of f")
+    base = f.base
+    B = f.target
+    X = g.source
+    fibers = {}
+    for c in base.objects:
+        elems = []
+        for y in B.fibers[c]:
+            obj, proj, gen = wf.data[(c, y)]
+            for x in X.fibers[obj]:
+                if g.components[obj][x] == gen:
+                    elems.append((y, x))
+        fibers[c] = tuple(elems)
+    action = {}
+    for a in base.arrow_ids:
+        t = base.tgt[a]
+        action[a] = {
+            (y, x): _transport(f, wf, a, t, y, x, X) for (y, x) in fibers[t]
+        }
+    T = Presheaf(base, fibers, action)
+    q = PshMap(T, B, {o: {(y, x): y for (y, x) in fibers[o]} for o in base.objects}, validate=False)
+    return q
+
+
+def reference_polynomial_compose(f: PshMap, g: PshMap, wf=None, wg=None):
+    """The composite polynomial map f (x) g with its witness.
+
+    cod = P_f(cod g); dom consists of tuples (y, b, e, e2): an index y
+    for f, a g-index b over its comprehension, an f-source element e
+    over y, and a g-source element e2 over b evaluated at e.  Satisfies
+    P_{f (x) g} iso P_f . P_g on every presheaf."""
+    if wf is None:
+        wf = reference_is_representable_map(f)
+    if wg is None:
+        wg = reference_is_representable_map(g)
+    if wf is None or wg is None:
+        raise NotRepresentable("polynomial composition needs representable maps")
+    base = f.base
+    B1, E1 = f.target, f.source
+    B2, E2 = g.target, g.source
+    cod = polynomial_apply(f, B2, wf)
+
+    def ev(c, y, b, e):
+        sigma = wf.unit_section(c, e)
+        return B2.action[sigma][b]
+
+    fibers = {}
+    for c in base.objects:
+        elems = []
+        for (y, b) in cod.fibers[c]:
+            for e in E1.fibers[c]:
+                if f.components[c][e] != y:
+                    continue
+                target_b = ev(c, y, b, e)
+                for e2 in E2.fibers[c]:
+                    if g.components[c][e2] == target_b:
+                        elems.append((y, b, e, e2))
+        fibers[c] = tuple(elems)
+    action = {}
+    for a in base.arrow_ids:
+        t = base.tgt[a]
+        table = {}
+        for (y, b, e, e2) in fibers[t]:
+            y2, b2 = _transport(f, wf, a, t, y, b, B2)
+            table[(y, b, e, e2)] = (y2, b2, E1.action[a][e], E2.action[a][e2])
+        action[a] = table
+    dom = Presheaf(base, fibers, action)
+    tensor = PshMap(
+        dom,
+        cod,
+        {o: {(y, b, e, e2): (y, b) for (y, b, e, e2) in fibers[o]} for o in base.objects},
+    )
+    wt = reference_is_representable_map(tensor)
+    if wt is None:
+        raise RfibError("composite polynomial map unexpectedly not representable")
+    return tensor, wt
