@@ -269,38 +269,48 @@ def criterion_6(seed=0, depth=2, type_size=4, term_size=4, sm_depth=1, signature
     failures = []
     checked = 0
     for name in signatures:
-        sig = load_signature(name)
-        ctxs = enumerate_framework_contexts(sig, depth, type_size=type_size)
-        for A in ctxs:
-            sm = syntactic_model(sig, A, sm_depth, type_size=type_size, term_size=term_size)
-            # the slice's global section of A
-            closing = tuple(Const(d.name) for d in sm.sig.declarations() if d.name not in sig.decls)
-            # at most one entry per distinct substitution out of A; dropped with sm
-            memo = {}
+        detail = correspondence(name, load_signature(name), depth, type_size, term_size, sm_depth)["detail"]
+        checked += detail["checked"]
+        failures += detail["failures"]
+    return {"ok": not failures, "detail": {"checked": checked, "failures": failures[:5]}}
 
-            def env_of(s):
-                env = memo.get(s)
-                if env is None:
-                    env = memo[s] = eval_subst(sm, (), compose_subst(sm.sig, closing, s), sm.terminal, ())
-                return env
 
-            hom_envs = {}
-            for B in ctxs:
-                checked += 1
-                homs = enumerate_substitutions(sig, A, B, term_size)
-                envs = [env_of(s) for s in homs]
-                hom_envs[B] = (homs, envs)
-                fiber = set(ctx_fiber(sm, B, sm.terminal))
-                if len(set(envs)) != len(homs) or set(envs) != fiber:
-                    failures.append((name, "bijection", len(homs), len(fiber)))
-            for B in ctxs:
-                homs, envs = hom_envs[B]
-                for B2 in ctxs:
-                    for tau in enumerate_substitutions(sig, B, B2, 3)[:3]:
-                        for s, env in zip(homs, envs):
-                            if env_of(compose_subst(sig, s, tau)) != eval_subst(sm, B, tau, sm.terminal, env):
-                                failures.append((name, "action", str(B2)[:40]))
-                                break
+def correspondence(name, sig, depth=2, type_size=4, term_size=4, sm_depth=1) -> dict:
+    """Criterion 6 on the signature sig, already parsed, named name in
+    its failures."""
+    failures = []
+    checked = 0
+    ctxs = enumerate_framework_contexts(sig, depth, type_size=type_size)
+    for A in ctxs:
+        sm = syntactic_model(sig, A, sm_depth, type_size=type_size, term_size=term_size)
+        # the slice's global section of A
+        closing = tuple(Const(d.name) for d in sm.sig.declarations() if d.name not in sig.decls)
+        # at most one entry per distinct substitution out of A; dropped with sm
+        memo = {}
+
+        def env_of(s):
+            env = memo.get(s)
+            if env is None:
+                env = memo[s] = eval_subst(sm, (), compose_subst(sm.sig, closing, s), sm.terminal, ())
+            return env
+
+        hom_envs = {}
+        for B in ctxs:
+            checked += 1
+            homs = enumerate_substitutions(sig, A, B, term_size)
+            envs = [env_of(s) for s in homs]
+            hom_envs[B] = (homs, envs)
+            fiber = set(ctx_fiber(sm, B, sm.terminal))
+            if len(set(envs)) != len(homs) or set(envs) != fiber:
+                failures.append((name, "bijection", len(homs), len(fiber)))
+        for B in ctxs:
+            homs, envs = hom_envs[B]
+            for B2 in ctxs:
+                for tau in enumerate_substitutions(sig, B, B2, 3)[:3]:
+                    for s, env in zip(homs, envs):
+                        if env_of(compose_subst(sig, s, tau)) != eval_subst(sm, B, tau, sm.terminal, env):
+                            failures.append((name, "action", str(B2)[:40]))
+                            break
     return {"ok": not failures, "detail": {"checked": checked, "failures": failures[:5]}}
 
 

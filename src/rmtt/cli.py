@@ -12,7 +12,9 @@ or in writing an output path; every `cmd_*` loads, computes and calls
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import io
 import json
 import pathlib
 import sys
@@ -65,6 +67,13 @@ def loader(fn):
     return load
 
 
+def _read(path):
+    """The bytes of the file at path, read once, and their text: UTF-8
+    with universal newlines, as `Path.read_text` decodes it."""
+    data = pathlib.Path(path).read_bytes()
+    return data, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+
+
 @loader
 def _read_sig(run, path):
     """The text of a shipped signature named path, else of the file at
@@ -72,8 +81,8 @@ def _read_sig(run, path):
     if path in SHIPPED_SIGNATURES:
         run.report["inputs"]["signature"] = f"shipped:{path}"
         return shipped_signature_text(path)
-    text = pathlib.Path(path).read_text()
-    run.add_input("signature", path)
+    data, text = _read(path)
+    run.add_input("signature", data)
     return text
 
 
@@ -91,6 +100,15 @@ def _write(path, text):
     pathlib.Path(path).write_text(text)
 
 
+@loader
+def _write_json(path, doc):
+    """doc as `json.dumps(doc, indent=1)` and a newline, written as it is
+    encoded rather than built in memory first."""
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+
+
 class Run:
     def __init__(self, args):
         self.report = {
@@ -105,8 +123,9 @@ class Run:
             "seed": args.seed,
         }
 
-    def add_input(self, label, path):
-        self.report["inputs"][label] = hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    def add_input(self, label, data):
+        """Record the hash of an input's bytes, the ones that were checked."""
+        self.report["inputs"][label] = hashlib.sha256(data).hexdigest()
 
     def finish(self, status, result):
         """Record the outcome; `main` writes the report."""
@@ -146,10 +165,10 @@ def _require_category(base):
 
 @loader
 def _load_base(run, path):
-    doc = json.loads(pathlib.Path(path).read_text())
-    base = FiniteCategory.from_json(doc)
+    data, text = _read(path)
+    base = FiniteCategory.from_json(json.loads(text))
     _require_category(base)
-    run.add_input("base", path)
+    run.add_input("base", data)
     return base
 
 
@@ -182,10 +201,10 @@ def cmd_structures(run, args):
 
 @loader
 def _load_model(run, path):
-    doc = json.loads(pathlib.Path(path).read_text())
-    model = model_from_json(doc)
+    data, text = _read(path)
+    model = model_from_json(json.loads(text))
     _require_category(model.base)
-    run.add_input("model", path)
+    run.add_input("model", data)
     return model
 
 
@@ -207,7 +226,7 @@ def cmd_heart(run, args):
         "heart_objects": [str(o) for o in h.base.objects],
     }
     if args.model_out:
-        _write(args.model_out, json.dumps(model_to_json(h), indent=1) + "\n")
+        _write_json(args.model_out, model_to_json(h))
     return run.finish(OK, result)
 
 
@@ -230,17 +249,17 @@ def cmd_initial_model(run, args):
         "democratic": is_democratic(model),
     }
     if args.model_out:
-        _write(args.model_out, json.dumps(model_to_json(model), indent=1) + "\n")
+        _write_json(args.model_out, model_to_json(model))
     return run.finish(OK if rep.ok else FAIL, result)
 
 
 def cmd_correspondence(run, args):
-    _load_sig(run, args.signature)
-    from .acceptance import SHIPPED, criterion_6
+    sig = _load_sig(run, args.signature)
+    from .acceptance import SHIPPED, correspondence
 
     if args.signature not in SHIPPED:
         raise Malformed(f"correspondence runs on the signatures {', '.join(SHIPPED)}")
-    res = criterion_6(seed=args.seed, depth=args.depth, signatures=(args.signature,))
+    res = correspondence(args.signature, sig, depth=args.depth)
     return run.finish(OK if res["ok"] else FAIL, res["detail"])
 
 
@@ -258,7 +277,8 @@ def _load_cofibration(run, sig, path):
     row's terms parsed in sig extended by the rows before it."""
     from .homotopy import Attachment, CofibrationPresentation, pushout_cofibration
 
-    doc = json.loads(pathlib.Path(path).read_text())
+    data, text = _read(path)
+    doc = json.loads(text)
     rows = doc.get("attachments") if isinstance(doc, dict) else None
     require_shape("cofibration", {"attachments": isinstance(rows, list)})
     for k, a in enumerate(rows):
@@ -273,7 +293,7 @@ def _load_cofibration(run, sig, path):
         terms = tuple(parse_term_text(probe, t) for t in a.get("terms", []))
         atts.append(Attachment(a["length"], a["top"], terms))
         probe = pushout_cofibration(probe, CofibrationPresentation.of(atts[-1]))
-    run.add_input("cofibration", path)
+    run.add_input("cofibration", data)
     return CofibrationPresentation.of(*atts)
 
 
@@ -340,7 +360,10 @@ def budget(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one in the process; callers must not change it."""
     # flags are accepted both before and after the subcommand; the
     # subparser must not clobber values parsed at the top level, so the
     # defaults are filled in afterwards
