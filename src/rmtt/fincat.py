@@ -58,6 +58,10 @@ class FiniteCategory:
         self._hom = {}
         for (a, s, t) in self.arrows:
             self._hom.setdefault((s, t), []).append(a)
+        self._into = {}
+        for a in self.arrow_ids:
+            self._into.setdefault(self.tgt[a], []).append(a)
+        self._into = {o: tuple(arrows) for o, arrows in self._into.items()}
 
     # -- basic lookups -------------------------------------------------
 
@@ -75,7 +79,22 @@ class FiniteCategory:
         return self._arr_index[a]
 
     def arrows_into(self, obj):
-        return tuple(a for a in self.arrow_ids if self.tgt[a] == obj)
+        """The arrows with target obj, in declared order."""
+        return self._into.get(obj, ())
+
+    def legs(self, apex, leg):
+        """The arrows u into apex keyed by leg(u), as {leg(u): u}, with None
+        where two arrows share a key.  Keyed by their legs to a cone, these
+        are the mediators: see `universal`."""
+        table = {}
+        for u in self.arrows_into(apex):
+            k = leg(u)
+            table[k] = None if k in table else u
+        return table
+
+    def is_terminal(self, o) -> bool:
+        """Does o receive exactly one arrow from every object?"""
+        return universal(self.legs(o, self.src.get), set(self.objects))
 
     def is_identity(self, f):
         return self.identities.get(self.src.get(f)) == f
@@ -214,47 +233,45 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     return ValidationReport(tuple(issues))
 
 
+def universal(table, competitors) -> bool:
+    """Is the cone whose mediators `table` holds (from
+    `FiniteCategory.legs`) universal among `competitors`, a set: does
+    every competitor have exactly one mediator, and every arrow into the
+    apex mediate to one?"""
+    return None not in table.values() and table.keys() == competitors
+
+
 def find_terminal(cat: FiniteCategory):
     """Least-index object receiving exactly one arrow from every object."""
-    for t in cat.objects:
-        if all(len(cat.hom(x, t)) == 1 for x in cat.objects):
-            return t
-    return None
+    return next((t for t in cat.objects if cat.is_terminal(t)), None)
 
 
-def is_pullback_cone(cat: FiniteCategory, f, g, apex, pf, pg) -> bool:
-    """Exhaustively verify that (apex, pf, pg) is universal for the cospan (f, g)."""
-    if cat.comp(f, pf) != cat.comp(g, pg):
-        return False
-    for q in cat.objects:
-        for qf in cat.hom(q, cat.src[f]):
-            for qg in cat.hom(q, cat.src[g]):
-                if cat.comp(f, qf) != cat.comp(g, qg):
-                    continue
-                mediators = [
-                    u
-                    for u in cat.hom(q, apex)
-                    if cat.comp(pf, u) == qf and cat.comp(pg, u) == qg
-                ]
-                if len(mediators) != 1:
-                    return False
-    return True
+def cone_legs(cat: FiniteCategory, apex, pf, pg):
+    """The arrows u into apex keyed by (pf u, pg u): the mediators of the
+    cone (apex, pf, pg)."""
+    return cat.legs(apex, lambda u: (cat.comp(pf, u), cat.comp(pg, u)))
 
 
-def pullback_in_base(cat: FiniteCategory, f, g):
-    """First universal cone (apex, pf, pg) for the cospan f, g, or None.
+def pullback_cones(cat: FiniteCategory, f, g):
+    """Every universal cone (apex, pf, pg) for the cospan f, g, with
+    pf : apex -> src(f) and pg : apex -> src(g), in declared order of
+    apex, pf and pg; the first is the chosen pullback.
 
-    pf : apex -> src(f) and pg : apex -> src(g).  Deterministic: objects
-    and arrows are scanned in declared order, so repeated runs agree.
+    The competitors, the commuting pairs (qf, qg), are computed once; a
+    cone is universal when its mediators are one to one with them, so
+    only an apex receiving as many arrows as there are pairs is tried.
     """
     if cat.tgt[f] != cat.tgt[g]:
-        raise ValueError("pullback_in_base: arrows must share their target")
+        raise ValueError("pullback_cones: arrows must share their target")
+    pairs = {(qf, qg) for qf in cat.arrows_into(cat.src[f]) for qg in cat.hom(cat.src[qf], cat.src[g])
+             if cat.comp(f, qf) == cat.comp(g, qg)}
     for apex in cat.objects:
+        if len(cat.arrows_into(apex)) != len(pairs):
+            continue
         for pf in cat.hom(apex, cat.src[f]):
             for pg in cat.hom(apex, cat.src[g]):
-                if is_pullback_cone(cat, f, g, apex, pf, pg):
-                    return (apex, pf, pg)
-    return None
+                if universal(cone_legs(cat, apex, pf, pg), pairs):
+                    yield (apex, pf, pg)
 
 
 @dataclass(frozen=True)

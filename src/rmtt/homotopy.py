@@ -215,7 +215,7 @@ def pushout_cofibration(base: Signature, cof: CofibrationPresentation, prefix="a
             for m in range(1, k + 1):
                 arg = App(arg, Var(k - m))
             tele.append(normalize(sig, SortApp("El", (arg,))))
-        target = target if isinstance(target, str) else normalize(sig, target)
+        target = normalize(sig, target)
         name = f"{prefix}{counter}"
         while name in sig.decls:
             name += "'"

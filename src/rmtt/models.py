@@ -37,6 +37,7 @@ from .rfib import (
     PshMap,
     RfibError,
     bang,
+    element_legs,
     is_representable,
     naturality_squares,
     require_distinct_fibers,
@@ -284,18 +285,17 @@ def check_model(sig: Signature, model: ModelData) -> ModelReport:
     eq_bad = []
     eq_skipped = 0
     for rule in sig.rules():
+        ctx = rule.context
         try:
-            for c in model.base.objects:
-                for env in ctx_fiber(model, rule.context, c):
-                    lv = eval_term(model, rule.context, rule.lhs, c, env)
-                    rv = eval_term(model, rule.context, rule.rhs, c, env)
-                    if lv != rv:
-                        eq_bad.append(f"rule for {rule.head!r} fails at {c!r}")
-                        raise StopIteration
-        except StopIteration:
-            continue
+            # the first stage where the two sides differ, or None
+            fails_at = next((c for c in model.base.objects for env in ctx_fiber(model, ctx, c)
+                             if eval_term(model, ctx, rule.lhs, c, env) != eval_term(model, ctx, rule.rhs, c, env)),
+                            None)
         except ModelBudget:
             eq_skipped += 1
+            continue
+        if fails_at is not None:
+            eq_bad.append(f"rule for {rule.head!r} fails at {fails_at!r}")
     rep.clauses.append(("equations", not eq_bad,
                         "; ".join(eq_bad[:3]) + (f" ({eq_skipped} skipped at depth)" if eq_skipped else "")))
 
@@ -1008,9 +1008,7 @@ def check_morphism(sig: Signature, m: ModelMorphism) -> ModelReport:
     M, N = m.source, m.target
     fr = validate_functor(M.base, N.base, m.functor)
     ft = m.functor.object_map.get(M.terminal)
-    terminal_ok = fr.ok and ft is not None and all(
-        len(N.base.hom(x, ft)) == 1 for x in N.base.objects
-    )
+    terminal_ok = fr.ok and ft is not None and N.base.is_terminal(ft)
     rep.clauses.append(("functor", terminal_ok,
                         "functor laws fail" if not fr.ok else f"image of terminal is {ft!r}"))
     if not fr.ok:
@@ -1089,7 +1087,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
     `Inconclusive` past its limit."""
     out = []
     baseM, baseN = M.base, N.base
-    terminals_N = [o for o in baseN.objects if all(len(baseN.hom(x, o)) == 1 for x in baseN.objects)]
+    terminals_N = [o for o in baseN.objects if baseN.is_terminal(o)]
     objs = list(baseM.objects)
     arrows = baseM.arrow_ids
     sorts = [d.name for d in sig.sort_decls]
@@ -1141,10 +1139,7 @@ def enumerate_model_morphisms(sig: Signature, M: ModelData, N: ModelData, budget
     def fill_component(k):
         name, c, x = slots[k]
         siN = N.sorts[name]
-        try:
-            want = _family_image(partial, name, c, x)
-        except KeyError:
-            return  # telescope mapping not decided yet (cannot happen in decl order)
+        want = _family_image(partial, name, c, x)
         fc = omap[c]
         checks = squares.get(k, ())
         for y in siN.family.over(fc, want):
@@ -1193,14 +1188,10 @@ def unique_morphism_from_initial(sig: Signature, depth, target: ModelData,
         Pj, gen_j = gens[obj_ids[j]]
         Pi, gen_i = gens[obj_ids[i]]
         delta = eval_subst(target, ctxs[i], sub, omap[obj_ids[i]], gen_i)
-        hits = [
-            u
-            for u in target.base.hom(omap[obj_ids[i]], omap[obj_ids[j]])
-            if Pj.action[u][gen_j] == delta
-        ]
-        if len(hits) != 1:
+        u = element_legs(Pj, omap[obj_ids[j]], gen_j).get((omap[obj_ids[i]], delta))
+        if u is None:
             raise ModelError("no unique base arrow for a substitution image")
-        amap[aid] = hits[0]
+        amap[aid] = u
     comps = {}
     for d in sig.sort_decls:
         name = d.name

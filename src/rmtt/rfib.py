@@ -9,11 +9,16 @@ object, projection arrow and generic element that are terminal among
 pairs (base arrow, source element) lying over the element.
 `is_representable_map` finds these as a `ComprehensionWitness`, and
 `require_witness` does the same where a construction cannot go on
-without one.  Representability gives pushforwards (pullback along the
-comprehension right adjoint), polynomial functors and their
-composition, a classifier built from pullback-stable arrows of the
-base, classification narrowed by Yoneda (`classifying_candidates`), and
-a univalence test for representable maps.
+without one.  Terminality, like every universal property here, is read
+off one table of the arrows into the candidate object keyed by their
+legs (`FiniteCategory.legs`): the candidate is universal when the table
+has no collision and its keys are exactly the competitors, and a
+mediator is a lookup in it.  Representability gives pushforwards
+(pullback along the comprehension right adjoint), polynomial functors
+and their composition, a classifier built from pullback-stable arrows
+of the base, classification narrowed by Yoneda
+(`classifying_candidates`), and a univalence test for representable
+maps.
 
 All operations are pure, deterministic and exhaustive.  The searches
 (`enumerate_maps` and everything built on it) take an optional
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import FiniteCategory, pullback_in_base, is_pullback_cone
+from .fincat import FiniteCategory, cone_legs, pullback_cones, universal
 from .search import backtrack
 
 
@@ -460,24 +465,25 @@ def element_map(X: Presheaf, c, x) -> PshMap:
     return PshMap(yc, X, comps, validate=False)
 
 
+def element_legs(X: Presheaf, c, e):
+    """The arrows u : d -> c keyed by (d, e.u), the element of X they
+    transport e to: the mediators of the element e over c."""
+    base = X.base
+    return base.legs(c, lambda u: (base.src[u], X.action[u][e]))
+
+
 def is_representable(X: Presheaf):
     """Deterministically chosen representing pair (object, element), or None.
 
     The pair is terminal in the category of elements: every element of X
     is the transport of it along exactly one base arrow."""
     base = X.base
+    elements = {(d, x) for d in base.objects for x in X.fibers[d]}
     for c in base.objects:
+        if len(base.arrows_into(c)) != len(elements):
+            continue
         for e in X.fibers[c]:
-            good = True
-            for d in base.objects:
-                for x in X.fibers[d]:
-                    hits = [u for u in base.hom(d, c) if X.action[u][e] == x]
-                    if len(hits) != 1:
-                        good = False
-                        break
-                if not good:
-                    break
-            if good:
+            if universal(element_legs(X, c, e), elements):
                 return (c, e)
     return None
 
@@ -497,7 +503,7 @@ class ComprehensionWitness:
     def __init__(self, f: PshMap, data):
         self.map = f
         self.data = dict(data)  # (c, y) -> (obj, proj, gen)
-        self._mediators = {}
+        self._legs = {}  # (c, y) -> its mediators, at most one per entry
 
     def obj(self, c, y):
         return self.data[(c, y)][0]
@@ -505,23 +511,21 @@ class ComprehensionWitness:
     def proj(self, c, y):
         return self.data[(c, y)][1]
 
+    def legs(self, c, y):
+        """The mediators of the entry for (c, y), from `_comprehension_legs`,
+        built on the first call and kept (witnesses are not changed after
+        they are built)."""
+        table = self._legs.get((c, y))
+        if table is None:
+            table = self._legs[(c, y)] = _comprehension_legs(self.map, *self.data[(c, y)])
+        return table
+
     def mediate(self, c, y, d, g, x):
         """The unique u : d -> obj(c,y) with proj . u = g and E(u)(gen) = x."""
-        key = (c, y, d, g, x)
-        if key in self._mediators:
-            return self._mediators[key]
-        base = self.map.base
-        obj, proj, gen = self.data[(c, y)]
-        E = self.map.source
-        hits = [
-            u
-            for u in base.hom(d, obj)
-            if base.comp(proj, u) == g and E.action[u][gen] == x
-        ]
-        if len(hits) != 1:
+        u = self.legs(c, y).get((g, x))
+        if u is None:
             raise RfibError(f"comprehension of {y!r} at {c!r} is not terminal")
-        self._mediators[key] = hits[0]
-        return hits[0]
+        return u
 
     def unit_section(self, c, e):
         """For e in E(c): the section s : c -> obj(c, f(e)) with E(s)(gen) = e."""
@@ -552,7 +556,7 @@ class ComprehensionWitness:
                 out.append(f"instance {y!r} at {c!r} is not in its fibre")
             elif gen not in E_sets[obj] or f.components[obj][gen] != B.action[proj][y]:
                 out.append(f"generic element of {y!r} at {c!r} does not lie over it")
-            elif not _is_terminal_pair(f, c, y, obj, proj, gen):
+            elif not universal(self.legs(c, y), _competitors(f, c, y)):
                 out.append(f"universal property fails for {y!r} at {c!r}")
         return out
 
@@ -581,31 +585,32 @@ def require_witness(f: PshMap, why: str) -> ComprehensionWitness:
 
 
 def _comprehension(f, c, y):
-    """The first terminal (obj, proj, gen) over y at c, or None."""
+    """The first terminal (obj, proj, gen) over y at c, or None.  Only an
+    obj receiving as many arrows as y has competitors is tried."""
     base = f.base
+    competitors = _competitors(f, c, y)
     for obj in base.objects:
+        if len(base.arrows_into(obj)) != len(competitors):
+            continue
         for proj in base.hom(obj, c):
             for gen in f.over(obj, f.target.action[proj][y]):
-                if _is_terminal_pair(f, c, y, obj, proj, gen):
+                if universal(_comprehension_legs(f, obj, proj, gen), competitors):
                     return (obj, proj, gen)
     return None
 
 
-def _is_terminal_pair(f, c, y, obj, proj, gen):
+def _competitors(f, c, y):
+    """The pairs (g : d -> c, x) with x over y.g: what a comprehension of
+    y at c must mediate to, each by exactly one arrow."""
     base = f.base
-    E, B = f.source, f.target
-    for d in base.objects:
-        for g in base.hom(d, c):
-            for x in f.over(d, B.action[g][y]):
-                hits = 0
-                for u in base.hom(d, obj):
-                    if base.comp(proj, u) == g and E.action[u][gen] == x:
-                        hits += 1
-                        if hits > 1:
-                            return False
-                if hits != 1:
-                    return False
-    return True
+    return {(g, x) for g in base.arrows_into(c) for x in f.over(base.src[g], f.target.action[g][y])}
+
+
+def _comprehension_legs(f, obj, proj, gen):
+    """The arrows u into obj keyed by (proj . u, E(u)(gen)): the mediators
+    of the candidate comprehension (obj, proj, gen) of f : E -> B."""
+    base, E = f.base, f.source
+    return base.legs(obj, lambda u: (base.comp(proj, u), E.action[u][gen]))
 
 
 def pullback_witness(f: PshMap, wf: ComprehensionWitness, g: PshMap):
@@ -786,20 +791,9 @@ def _stable_arrows(base: FiniteCategory, c):
     """Arrows into c whose pullback along every arrow into c exists."""
     out = []
     for a in base.arrows_into(c):
-        if all(pullback_in_base(base, a, u) is not None for u in base.arrows_into(c)):
+        if all(next(pullback_cones(base, a, u), None) for u in base.arrows_into(c)):
             out.append(a)
     return out
-
-
-def _universal_squares(base, a, u):
-    """All universal cones for the cospan (a, u), as (apex, top, left)."""
-    cones = []
-    for apex in base.objects:
-        for top in base.hom(apex, base.src[a]):
-            for left in base.hom(apex, base.src[u]):
-                if is_pullback_cone(base, a, u, apex, top, left):
-                    cones.append((apex, top, left))
-    return cones
 
 
 def _choose_squares(base, stable):
@@ -817,7 +811,7 @@ def _choose_squares(base, stable):
     for (u, a) in pairs:
         cones = [
             (apex, top, left)
-            for (apex, top, left) in _universal_squares(base, a, u)
+            for (apex, top, left) in pullback_cones(base, a, u)
             if left in stable[base.src[u]]
         ]
         if not cones:
@@ -902,14 +896,10 @@ def rep_map_classifier(base: FiniteCategory) -> ClassifierData:
         table = {}
         for (a, s) in pt_fibers[t]:
             apex, top, left = squares[(u, a)]
-            hits = [
-                s2
-                for s2 in base.hom(d, apex)
-                if base.comp(top, s2) == base.comp(s, u) and base.comp(left, s2) == base.id_of(d)
-            ]
-            if len(hits) != 1:
+            s2 = cone_legs(base, apex, top, left).get((base.comp(s, u), base.id_of(d)))
+            if s2 is None:
                 raise ClassifierChoiceError("section transport is not unique")
-            table[(a, s)] = (left, hits[0])
+            table[(a, s)] = (left, s2)
         pt_action[u] = table
     omega_pt = Presheaf(base, pt_fibers, pt_action)
     generic = PshMap(

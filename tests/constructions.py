@@ -3,11 +3,12 @@ test against, reading a presheaf back from its JSON, the inverse of a
 presheaf isomorphism, the pushforward's adjunction transposes, the
 context presenting a chain of type families, equality of substitutions
 up to normal form, isomorphism of contexts, the classifier's choice
-of pullback squares by rechecking every pasting, and the fibre scans
-that `PshMap.over` replaced.  They decide no claim of the package, so they
-live here rather than in `rmtt`."""
+of pullback squares by rechecking every pasting, the fibre scans
+that `PshMap.over` replaced, and the mediator scans that
+`FiniteCategory.legs` replaced.  They decide no claim of the package, so
+they live here rather than in `rmtt`."""
 
-from rmtt.fincat import FiniteCategory
+from rmtt.fincat import FiniteCategory, pullback_cones
 from rmtt.kernel import App, Declaration, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
 from rmtt.kernel.contexts import contexts_iso_subs
 from rmtt.rfib import (
@@ -18,7 +19,6 @@ from rmtt.rfib import (
     PshMap,
     RfibError,
     _transport,
-    _universal_squares,
     polynomial_apply,
     pullback_of_maps,
     pushforward,
@@ -276,7 +276,7 @@ def rechecking_choose_squares(base, stable):
         c = base.tgt[u]
         cones = [
             (apex, top, left)
-            for (apex, top, left) in _universal_squares(base, a, u)
+            for (apex, top, left) in pullback_cones(base, a, u)
             if left in stable[base.src[u]]
         ]
         if not cones:
@@ -507,3 +507,130 @@ def reference_polynomial_compose(f: PshMap, g: PshMap, wf=None, wg=None):
     if wt is None:
         raise RfibError("composite polynomial map unexpectedly not representable")
     return tensor, wt
+
+
+# ---------------------------------------------------------------------------
+# mediator scans
+# ---------------------------------------------------------------------------
+
+# The references for the universal properties `rmtt` now decides with one
+# table of the arrows into an apex (`FiniteCategory.legs`): the earlier
+# bodies of `fincat.find_terminal`, `fincat.is_pullback_cone`,
+# `fincat.pullback_in_base`, `rfib._universal_squares`,
+# `rfib.is_representable`, `ComprehensionWitness.mediate` (as a function
+# of the witness, without its memo) and the section transport of
+# `rfib.rep_map_classifier`, kept verbatim, each counting the mediators
+# of every competitor.  `reference_is_terminal_pair` above is the
+# comprehension's.  Calls among them go to the references.
+
+
+def reference_find_terminal(cat: FiniteCategory):
+    """Least-index object receiving exactly one arrow from every object."""
+    for t in cat.objects:
+        if all(len(cat.hom(x, t)) == 1 for x in cat.objects):
+            return t
+    return None
+
+
+def reference_is_pullback_cone(cat: FiniteCategory, f, g, apex, pf, pg) -> bool:
+    """Exhaustively verify that (apex, pf, pg) is universal for the cospan (f, g)."""
+    if cat.comp(f, pf) != cat.comp(g, pg):
+        return False
+    for q in cat.objects:
+        for qf in cat.hom(q, cat.src[f]):
+            for qg in cat.hom(q, cat.src[g]):
+                if cat.comp(f, qf) != cat.comp(g, qg):
+                    continue
+                mediators = [
+                    u
+                    for u in cat.hom(q, apex)
+                    if cat.comp(pf, u) == qf and cat.comp(pg, u) == qg
+                ]
+                if len(mediators) != 1:
+                    return False
+    return True
+
+
+def reference_pullback_in_base(cat: FiniteCategory, f, g):
+    """First universal cone (apex, pf, pg) for the cospan f, g, or None.
+
+    pf : apex -> src(f) and pg : apex -> src(g).  Deterministic: objects
+    and arrows are scanned in declared order, so repeated runs agree.
+    """
+    if cat.tgt[f] != cat.tgt[g]:
+        raise ValueError("pullback_in_base: arrows must share their target")
+    for apex in cat.objects:
+        for pf in cat.hom(apex, cat.src[f]):
+            for pg in cat.hom(apex, cat.src[g]):
+                if reference_is_pullback_cone(cat, f, g, apex, pf, pg):
+                    return (apex, pf, pg)
+    return None
+
+
+def reference_universal_squares(base, a, u):
+    """All universal cones for the cospan (a, u), as (apex, top, left)."""
+    cones = []
+    for apex in base.objects:
+        for top in base.hom(apex, base.src[a]):
+            for left in base.hom(apex, base.src[u]):
+                if reference_is_pullback_cone(base, a, u, apex, top, left):
+                    cones.append((apex, top, left))
+    return cones
+
+
+def reference_is_representable(X: Presheaf):
+    """Deterministically chosen representing pair (object, element), or None.
+
+    The pair is terminal in the category of elements: every element of X
+    is the transport of it along exactly one base arrow."""
+    base = X.base
+    for c in base.objects:
+        for e in X.fibers[c]:
+            good = True
+            for d in base.objects:
+                for x in X.fibers[d]:
+                    hits = [u for u in base.hom(d, c) if X.action[u][e] == x]
+                    if len(hits) != 1:
+                        good = False
+                        break
+                if not good:
+                    break
+            if good:
+                return (c, e)
+    return None
+
+
+def reference_mediate(self: ComprehensionWitness, c, y, d, g, x):
+    """The unique u : d -> obj(c,y) with proj . u = g and E(u)(gen) = x."""
+    base = self.map.base
+    obj, proj, gen = self.data[(c, y)]
+    E = self.map.source
+    hits = [
+        u
+        for u in base.hom(d, obj)
+        if base.comp(proj, u) == g and E.action[u][gen] == x
+    ]
+    if len(hits) != 1:
+        raise RfibError(f"comprehension of {y!r} at {c!r} is not terminal")
+    return hits[0]
+
+
+def reference_section_transport(base, squares, pt_fibers):
+    """The action of the classifier's pointed presheaf, {u: {(a, s): (left, s2)}}."""
+    pt_action = {}
+    for u in base.arrow_ids:
+        t = base.tgt[u]
+        d = base.src[u]
+        table = {}
+        for (a, s) in pt_fibers[t]:
+            apex, top, left = squares[(u, a)]
+            hits = [
+                s2
+                for s2 in base.hom(d, apex)
+                if base.comp(top, s2) == base.comp(s, u) and base.comp(left, s2) == base.id_of(d)
+            ]
+            if len(hits) != 1:
+                raise ClassifierChoiceError("section transport is not unique")
+            table[(a, s)] = (left, hits[0])
+        pt_action[u] = table
+    return pt_action

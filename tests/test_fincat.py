@@ -5,13 +5,12 @@ from rmtt.fincat import (
     FunctorData,
     delta1,
     find_terminal,
-    is_pullback_cone,
-    pullback_in_base,
+    pullback_cones,
     validate_category,
     validate_functor,
 )
 
-from constructions import discrete_category
+from constructions import discrete_category, reference_is_pullback_cone
 
 
 def test_delta1_valid():
@@ -98,26 +97,26 @@ def test_hom_sets_delta1():
 
 def test_pullback_of_id1_along_u():
     cat = delta1()
-    apex, pf, pg = pullback_in_base(cat, "u", "id1")
+    apex, pf, pg = next(pullback_cones(cat, "u", "id1"))
     assert (apex, pf, pg) == ("0", "id0", "u")
-    assert is_pullback_cone(cat, "u", "id1", apex, pf, pg)
+    assert reference_is_pullback_cone(cat, "u", "id1", apex, pf, pg)
 
 
 def test_pullback_of_u_along_u():
     cat = delta1()
-    assert pullback_in_base(cat, "u", "u") == ("0", "id0", "id0")
+    assert next(pullback_cones(cat, "u", "u")) == ("0", "id0", "id0")
 
 
 def test_pullback_absent_in_span():
     from rmtt.corpus import span_category
 
     cat = span_category()
-    assert pullback_in_base(cat, "f", "g") is None
+    assert next(pullback_cones(cat, "f", "g"), None) is None
 
 
 def test_pullback_deterministic():
     cat = delta1()
-    runs = {pullback_in_base(cat, "u", "id1") for _ in range(5)}
+    runs = {tuple(pullback_cones(cat, "u", "id1")) for _ in range(5)}
     assert len(runs) == 1
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from rmtt.acceptance import _pseudo_classifications
 from rmtt.corpus import corpus_bases, corpus_presheaves, two_element_group
-from rmtt.fincat import chain_poset
+from rmtt.fincat import chain_poset, pullback_cones
 from rmtt.rfib import (
     ClassifierChoiceError,
     Presheaf,
@@ -22,7 +22,6 @@ from rmtt.rfib import (
     RfibError,
     _choose_squares,
     _stable_arrows,
-    _universal_squares,
     arrows_iso_over,
     enumerate_maps,
     find_iso,
@@ -131,7 +130,7 @@ def reference_choose_squares(base, stable):
         c = base.tgt[u]
         cones = [
             (apex, top, left)
-            for (apex, top, left) in _universal_squares(base, a, u)
+            for (apex, top, left) in pullback_cones(base, a, u)
             if left in stable[base.src[u]]
         ]
         if not cones:
