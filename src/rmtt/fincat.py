@@ -58,6 +58,7 @@ class FiniteCategory:
         self._hom = {}
         for (a, s, t) in self.arrows:
             self._hom.setdefault((s, t), []).append(a)
+        self._hom = {st: tuple(arrows) for st, arrows in self._hom.items()}
         self._into = {}
         for a in self.arrow_ids:
             self._into.setdefault(self.tgt[a], []).append(a)
@@ -66,7 +67,8 @@ class FiniteCategory:
     # -- basic lookups -------------------------------------------------
 
     def hom(self, a, b):
-        return tuple(self._hom.get((a, b), ()))
+        """The arrows a -> b, in declared order."""
+        return self._hom.get((a, b), ())
 
     def id_of(self, obj):
         return self.identities[obj]

@@ -26,6 +26,7 @@ from .terms import (
     PiType,
     SortApp,
     Var,
+    free_vars,
     instantiate_many,
     shift,
     term_size,
@@ -225,13 +226,40 @@ def contexts_iso_subs(sig: Signature, a, b, size=4):
     to rule convertibility, or None: the first pair in canonical order.
     Exhaustive within the size budget.  Component k of g . f is g_k[f],
     so the search for g keeps g_k only when that is the variable the
-    identity has there, and checks f . g once g is complete."""
+    identity has there, and checks f . g once g is complete.
+
+    Candidates are pruned by their free variables first.  Normalisation
+    adds no free variable (a rule's right side uses only variables of its
+    left side, which `check_signature` enforces, and beta-reduction
+    substitutes), so fv(t[f]) lies in the union of fv(f_j) over the
+    components f_j that the free variables of t stand for.  Hence g_k[f]
+    can be the variable x_k only if x_k is free in such an f_j; an f whose
+    components together miss a variable of a has no inverse; and f . g
+    can be the identity only if every f_j has a free variable.  None of
+    this substitutes, and what it skips could not have been kept, so the
+    pair is the one found without the prune; only a NormalizationBudget
+    that a skipped candidate would have raised is not raised."""
     if len(a) != len(b):
         return None
+    n = len(a)
     ident_a, ident_b = identity_subst(a), identity_subst(b)
-    for f in _substitutions(sig, a, b, size):
+    fvs = {}
+
+    def fv(t):
+        out = fvs.get(t)
+        if out is None:
+            out = fvs[t] = frozenset(free_vars(t))
+        return out
+
+    for f in _substitutions(sig, a, b, size, lambda j, t: t.loose > 0):
+        # reach[k]: the variables Var(i) of b whose component f[n - 1 - i]
+        # has a's variable x_k = Var(n - 1 - k) free
+        reach = [frozenset(i for i in range(n) if n - 1 - k in fv(f[n - 1 - i])) for k in range(n)]
+        if not all(reach):
+            continue
+
         def keep(k, t):
-            return apply_subst(sig, f, t) is ident_a[k]
+            return not reach[k].isdisjoint(fv(t)) and apply_subst(sig, f, t) is ident_a[k]
 
         for g in _substitutions(sig, b, a, size, keep):
             if compose_subst(sig, g, f) == ident_b:

@@ -787,19 +787,31 @@ class ClassifierData:
     squares: dict  # (arrow, classified arrow) -> (apex, top, left)
 
 
-def _stable_arrows(base: FiniteCategory, c):
-    """Arrows into c whose pullback along every arrow into c exists."""
-    out = []
-    for a in base.arrows_into(c):
-        if all(next(pullback_cones(base, a, u), None) for u in base.arrows_into(c)):
-            out.append(a)
-    return out
+def _cospan_cones(base: FiniteCategory):
+    """{(a, u): the universal cones of the cospan a, u}, for every two
+    arrows a, u with one target, each computed once."""
+    return {
+        (a, u): tuple(pullback_cones(base, a, u))
+        for c in base.objects
+        for a in base.arrows_into(c)
+        for u in base.arrows_into(c)
+    }
 
 
-def _choose_squares(base, stable):
+def _stable_arrows(base: FiniteCategory, cones):
+    """{c: the arrows into c whose pullback along every arrow into c
+    exists}, read from the cones of `_cospan_cones`."""
+    return {
+        c: [a for a in base.arrows_into(c) if all(cones[(a, u)] for u in base.arrows_into(c))]
+        for c in base.objects
+    }
+
+
+def _choose_squares(base, stable, cones):
     """A strictly functorial choice of pullback squares for the stable
-    arrows: identity arrows get identity squares and chosen squares paste
-    on the nose.  Found by backtracking over universal cones."""
+    arrows, among the cones of `_cospan_cones`: identity arrows get
+    identity squares and chosen squares paste on the nose.  Found by
+    backtracking over universal cones."""
     pairs = []
     for c in base.objects:
         for u in base.arrows_into(c):
@@ -809,14 +821,14 @@ def _choose_squares(base, stable):
                 pairs.append((u, a))
     candidates = {}
     for (u, a) in pairs:
-        cones = [
+        kept = [
             (apex, top, left)
-            for (apex, top, left) in pullback_cones(base, a, u)
+            for (apex, top, left) in cones[(a, u)]
             if left in stable[base.src[u]]
         ]
-        if not cones:
+        if not kept:
             raise ClassifierChoiceError(f"stable arrow {a!r} lost stability along {u!r}")
-        candidates[(u, a)] = cones
+        candidates[(u, a)] = kept
 
     order = sorted(pairs, key=lambda ua: (base.arr_index(ua[0]), base.arr_index(ua[1])))
     position = {key: k for k, key in enumerate(order)}
@@ -826,12 +838,12 @@ def _choose_squares(base, stable):
     # `order`, and checked once, when that square is chosen; identity
     # squares are fixed.
     pastings = {}
-    for key, cones in candidates.items():
+    for key, kept in candidates.items():
         u, a = key
         for v in base.arrows_into(base.src[u]):
             outer = (base.comp(u, v), a)
             at_least = max(position[key], position.get(outer, -1))
-            for cone in cones:
+            for cone in kept:
                 inner = (v, cone[2])
                 last = max(at_least, position.get(inner, -1))
                 pastings.setdefault(last, []).append((key, cone, inner, outer))
@@ -872,8 +884,9 @@ def rep_map_classifier(base: FiniteCategory) -> ClassifierData:
     are the pullback-stable arrows into c, acting by a strictly
     functorial choice of pullbacks; the pointed variant adds a section,
     and the generic map between them is representable."""
-    stable = {c: _stable_arrows(base, c) for c in base.objects}
-    squares = _choose_squares(base, stable)
+    cones = _cospan_cones(base)
+    stable = _stable_arrows(base, cones)
+    squares = _choose_squares(base, stable, cones)
     omega_fibers = {c: tuple(stable[c]) for c in base.objects}
     omega_action = {}
     for u in base.arrow_ids:

@@ -2,15 +2,29 @@
 test against, reading a presheaf back from its JSON, the inverse of a
 presheaf isomorphism, the pushforward's adjunction transposes, the
 context presenting a chain of type families, equality of substitutions
-up to normal form, isomorphism of contexts, the classifier's choice
-of pullback squares by rechecking every pasting, the fibre scans
+up to normal form, isomorphism of contexts and the isomorphism search
+before its free-variable prune, the classifier's stable arrows and
+choice of pullback squares by rechecking every pasting, the fibre scans
 that `PshMap.over` replaced, and the mediator scans that
 `FiniteCategory.legs` replaced.  They decide no claim of the package, so
 they live here rather than in `rmtt`."""
 
 from rmtt.fincat import FiniteCategory, pullback_cones
-from rmtt.kernel import App, Declaration, KernelError, PiType, Signature, SortApp, Var, check_context, normalize
-from rmtt.kernel.contexts import contexts_iso_subs
+from rmtt.kernel import (
+    App,
+    Declaration,
+    KernelError,
+    PiType,
+    Signature,
+    SortApp,
+    Var,
+    apply_subst,
+    check_context,
+    compose_subst,
+    identity_subst,
+    normalize,
+)
+from rmtt.kernel.contexts import _substitutions, contexts_iso_subs
 from rmtt.rfib import (
     ClassifierChoiceError,
     ComprehensionWitness,
@@ -251,13 +265,47 @@ def contexts_isomorphic(sig: Signature, a, b, size=4) -> bool:
     return contexts_iso_subs(sig, a, b, size) is not None
 
 
+# The reference for `rmtt.kernel.contexts.contexts_iso_subs`: its body
+# before candidates were pruned by their free variables, kept verbatim.
+
+
+def unpruned_contexts_iso_subs(sig: Signature, a, b, size=4):
+    """Substitutions (f : a -> b, g : b -> a) composing to identities up
+    to rule convertibility, or None: the first pair in canonical order.
+    Exhaustive within the size budget.  Component k of g . f is g_k[f],
+    so the search for g keeps g_k only when that is the variable the
+    identity has there, and checks f . g once g is complete."""
+    if len(a) != len(b):
+        return None
+    ident_a, ident_b = identity_subst(a), identity_subst(b)
+    for f in _substitutions(sig, a, b, size):
+        def keep(k, t):
+            return apply_subst(sig, f, t) is ident_a[k]
+
+        for g in _substitutions(sig, b, a, size, keep):
+            if compose_subst(sig, g, f) == ident_b:
+                return (f, g)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # the classifier's choice of pullback squares
 # ---------------------------------------------------------------------------
 
-# The reference for the squares `rmtt.rfib.rep_map_classifier` chooses:
-# the same search, but at every candidate cone it rechecks every pasting
-# among the squares chosen so far.
+# The references for the stable arrows and the squares
+# `rmtt.rfib.rep_map_classifier` chooses: the stable arrows as found
+# before the cones of each cospan were computed once and shared, and the
+# same square search, but at every candidate cone it rechecks every
+# pasting among the squares chosen so far.
+
+
+def reference_stable_arrows(base: FiniteCategory, c):
+    """Arrows into c whose pullback along every arrow into c exists."""
+    out = []
+    for a in base.arrows_into(c):
+        if all(next(pullback_cones(base, a, u), None) for u in base.arrows_into(c)):
+            out.append(a)
+    return out
 
 
 def rechecking_choose_squares(base, stable):

@@ -18,14 +18,16 @@ from rmtt.kernel import (
     enumerate_types,
     identity_subst,
     load_signature,
+    parse_signature,
     pretty,
     print_signature,
     slice_theory,
 )
 from rmtt.kernel import contexts
 from rmtt.kernel.contexts import contexts_iso_subs
+from rmtt.kernel.terms import free_vars
 
-from constructions import contexts_isomorphic, hom_equal, polynomial_object
+from constructions import contexts_isomorphic, hom_equal, polynomial_object, unpruned_contexts_iso_subs
 
 
 def ext(sig, name="o"):
@@ -184,11 +186,38 @@ def candidate_contexts(sig):
     return [()] + [ctx + (ty,) for ctx in kept for ty in enumerate_types(sig, ctx, 4)]
 
 
-@pytest.mark.parametrize("name", SHIPPED_SIGNATURES)
+# Box(A) is isomorphic to A only through box and unbox, so the only
+# isomorphisms between (x : El(Box(o))) and (y : El(o)) have components
+# that are not variables; pick drops one of its arguments once its
+# selector is one or two, so fv(t[f]) can be smaller than the bound the
+# prune uses.
+BOX = """\
+Ty : sort
+El : (A : Ty) -> rep-sort
+o : Ty
+Box : (A : Ty) -> Ty
+box : (A : Ty, x : El(A)) -> El(Box(A))
+unbox : (A : Ty, y : El(Box(A))) -> El(A)
+unbox(A, box(A, x)) ~> x
+box(A, unbox(A, y)) ~> y
+Two : Ty
+one : El(Two)
+two : El(Two)
+pick : (A : Ty, s : El(Two), x : El(A), y : El(A)) -> El(A)
+pick(A, one, x, y) ~> x
+pick(A, two, x, y) ~> y
+"""
+
+
+def signature(name):
+    return parse_signature(BOX) if name == "box" else load_signature(name)
+
+
+@pytest.mark.parametrize("name", SHIPPED_SIGNATURES + ("box",))
 def test_iso_subs_match_reference(name):
     """Same pair, or None, on every pair of those contexts at every size up
     to the default; each side runs on its own signature."""
-    new, ref = load_signature(name), load_signature(name)
+    new, ref = signature(name), signature(name)
     ctxs = candidate_contexts(new)
     assert set(enumerate_framework_contexts(new, 2)) <= set(ctxs)
     found = 0
@@ -201,9 +230,16 @@ def test_iso_subs_match_reference(name):
     assert found
 
 
+def passes_prune(f, n):
+    """The free-variable prune's conditions on f : a -> b, len(a) = n:
+    every component has a free variable, and together they have all n."""
+    return all(t.loose > 0 for t in f) and set().union(*map(free_vars, f)) == set(range(n))
+
+
 def test_iso_subs_searches_g_once_per_f(itth, monkeypatch):
-    """No b -> a candidate is built when there is no a -> b substitution,
-    and the search for g runs once for each f tried."""
+    """No b -> a candidate is built when no a -> b substitution passes the
+    free-variable prune, and the search for g runs once for each f that
+    does."""
     searches = []
     search = contexts._substitutions
 
@@ -215,16 +251,62 @@ def test_iso_subs_searches_g_once_per_f(itth, monkeypatch):
     sig = ext(itth)
     a = (SortApp("El", (Const("o"),)),)
     b = (SortApp("El", (Const("Unit"),)),)
+    ty = (SortApp("Ty"),)
     fs = enumerate_substitutions(sig, a, b, 4)
-    assert fs and not enumerate_substitutions(sig, b, a, 4)
+    assert fs and not any(passes_prune(f, 1) for f in fs)  # every f : a -> b is closed
+    assert not enumerate_substitutions(sig, b, a, 4)
+    open_fs = [f for f in enumerate_substitutions(sig, a, ty, 4) if passes_prune(f, 1)]
+    assert open_fs == [(Const("Id", (Const("o"), Var(0), Var(0))),)]
     for src, tgt, expected in [
         (a, a, [(a, a), (a, a)]),  # the first f, the identity, has an inverse
-        (a, b, [(a, b)] + [(b, a)] * len(fs)),
+        (a, b, [(a, b)]),
         (b, a, [(b, a)]),
+        (a, ty, [(a, ty)] + [(ty, a)] * len(open_fs)),  # Id(o, x, x) has no inverse
     ]:
         searches.clear()
-        contexts_iso_subs(sig, src, tgt)
+        found = contexts_iso_subs(sig, src, tgt)
         assert searches == expected, (src, tgt)
+        assert (found is not None) == (src == tgt)
+
+
+@pytest.mark.parametrize("depth", [
+    1,
+    2,
+    pytest.param(3, marks=pytest.mark.scale),
+])
+@pytest.mark.parametrize("name", SHIPPED_SIGNATURES)
+def test_search_contexts_matches_unpruned(name, depth, monkeypatch):
+    """The same kept contexts, and the same representative and pair for
+    every extension weighed, as the search before the free-variable prune;
+    each search runs on its own signature."""
+    for rep_only in (True, False):
+        got = contexts.search_contexts(load_signature(name), depth, rep_only=rep_only)
+        with monkeypatch.context() as m:
+            m.setattr(contexts, "contexts_iso_subs", unpruned_contexts_iso_subs)
+            want = contexts.search_contexts(load_signature(name), depth, rep_only=rep_only)
+        assert got == want, rep_only
+
+
+def test_iso_subs_with_non_variable_components():
+    sig = signature("box")
+    boxed, plain = (SortApp("El", (Const("Box", (Const("o"),)),)),), (SortApp("El", (Const("o"),)),)
+    assert boxed in candidate_contexts(sig) and plain in candidate_contexts(sig)
+    assert contexts_iso_subs(sig, boxed, plain) == (
+        (Const("unbox", (Const("o"), Var(0))),),
+        (Const("box", (Const("o"), Var(0))),),
+    )
+
+
+@pytest.mark.scale
+@pytest.mark.parametrize("name", ["itth", "etth1"])
+def test_framework_contexts_at_depth_4(name):
+    """Depth 4 finishes, and keeps the depth-3 contexts as its contexts of
+    length <= 3, in the same order."""
+    sig = load_signature(name)
+    deeper = enumerate_framework_contexts(sig, 4)
+    shallow = enumerate_framework_contexts(load_signature(name), 3)
+    assert [c for c in deeper if len(c) <= 3] == shallow
+    assert len(deeper) > len(shallow)
 
 
 @pytest.mark.parametrize("ctx", [

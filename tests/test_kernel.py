@@ -21,6 +21,7 @@ from rmtt.kernel import (
     shipped_signature_text,
     term_pool,
 )
+from rmtt.kernel.terms import free_vars
 
 ElU = SortApp("El", (Const("Unit"),))
 
@@ -59,6 +60,21 @@ def test_mistyped_rule_rejected(itth):
     rep = check_signature(text)
     assert not rep.ok
     assert any("preserve types" in i.message for i in rep.issues)
+
+
+def test_rule_with_a_variable_only_on_its_right_side_rejected():
+    """Every variable of a rule's right side occurs on its left, so
+    rewriting adds no free variable: the isomorphism search's prune rests
+    on it."""
+    text = "Ty : sort\nEl : (A : Ty) -> rep-sort\nc : (A : Ty, x : El(A)) -> El(A)\nc(A, x) ~> {}\n"
+    assert check_signature(text.format("x")).ok
+    rep = check_signature(text.format("y"))
+    assert [i.message for i in rep.issues] == [
+        "cannot infer a type for a rule variable; it must occur as a direct argument"
+    ]
+    for name in ("tthg", "itth", "etth1", "itthpi", "tthr1"):
+        for rule in load_signature(name).rules():
+            assert free_vars(rule.rhs) <= free_vars(rule.lhs), (name, rule)
 
 
 def test_normalize_variable_and_identity(itth):

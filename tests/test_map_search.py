@@ -14,6 +14,7 @@ import pytest
 
 from rmtt.acceptance import _pseudo_classifications
 from rmtt.corpus import corpus_bases, corpus_presheaves, two_element_group
+from rmtt import rfib
 from rmtt.fincat import chain_poset, pullback_cones
 from rmtt.rfib import (
     ClassifierChoiceError,
@@ -21,6 +22,7 @@ from rmtt.rfib import (
     PshMap,
     RfibError,
     _choose_squares,
+    _cospan_cones,
     _stable_arrows,
     arrows_iso_over,
     enumerate_maps,
@@ -31,7 +33,7 @@ from rmtt.rfib import (
 )
 from rmtt.search import Budget, Inconclusive
 
-from constructions import chaotic_category, rechecking_choose_squares
+from constructions import chaotic_category, rechecking_choose_squares, reference_stable_arrows
 
 BASES = corpus_bases(0)
 BUDGETS = [None, 0, 1, 5, 20]
@@ -294,7 +296,7 @@ def test_same_maps_with_narrowed_candidates(name, base):
 
 @pytest.mark.parametrize("name,base", BASES, ids=[n for n, _ in BASES])
 def test_same_chosen_squares(name, base):
-    stable = {c: _stable_arrows(base, c) for c in base.objects}
+    stable = {c: reference_stable_arrows(base, c) for c in base.objects}
     assert rep_map_classifier(base).squares == reference_choose_squares(base, stable)
 
 
@@ -308,11 +310,33 @@ SQUARE_BASES = (
 
 
 @pytest.mark.parametrize("name,base", SQUARE_BASES, ids=[n for n, _ in SQUARE_BASES])
+def test_same_stable_arrows_as_first_cone_scan(name, base):
+    cones = _cospan_cones(base)
+    assert _stable_arrows(base, cones) == {c: reference_stable_arrows(base, c) for c in base.objects}
+    for (a, u), found in cones.items():
+        assert found == tuple(pullback_cones(base, a, u))
+
+
+def test_classifier_computes_each_cospans_cones_once(monkeypatch):
+    base = chain_poset(8)
+    calls = []
+
+    def counted(cat, f, g):
+        calls.append((f, g))
+        return pullback_cones(cat, f, g)
+
+    monkeypatch.setattr(rfib, "pullback_cones", counted)
+    rep_map_classifier(base)
+    assert len(calls) == len(set(calls)) == sum(len(base.arrows_into(c)) ** 2 for c in base.objects)
+
+
+@pytest.mark.parametrize("name,base", SQUARE_BASES, ids=[n for n, _ in SQUARE_BASES])
 def test_same_squares_as_rechecking_every_pasting(name, base):
     """Checking each pasting once, when its last square is chosen, finds
     the squares the search that rechecks every pasting finds."""
-    stable = {c: _stable_arrows(base, c) for c in base.objects}
-    assert _choose_squares(base, stable) == rechecking_choose_squares(base, stable)
+    cones = _cospan_cones(base)
+    stable = _stable_arrows(base, cones)
+    assert _choose_squares(base, stable, cones) == rechecking_choose_squares(base, stable)
 
 
 @pytest.mark.parametrize("name,base", BASES, ids=[n for n, _ in BASES])
