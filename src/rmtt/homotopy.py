@@ -57,7 +57,7 @@ def _chain_steps(model: ModelData, c):
         raise ModelError("homotopy calculus needs the El comprehension data")
     steps = []
     for t in _ty_values(model, c):
-        hit = el.witness.data.get((c, ((), t)))
+        hit = el.witness.data.get((c, (t,)))
         if hit is not None:
             steps.append((t,) + hit)
     return steps
@@ -68,7 +68,7 @@ def _ty_values(model: ModelData, c):
 
 
 def _el_values(model: ModelData, c, ty_value):
-    return model.sorts["El"].family.over(c, ((), ty_value))
+    return model.sorts["El"].family.over(c, (ty_value,))
 
 
 @dataclass
@@ -109,7 +109,7 @@ def homotopic_arrows(model: ModelData, u, v, chains=None):
             return Verdict("inconclusive", "component types differ; transport not attempted")
         if xu != xv:
             try:
-                id_val = model.value("Id", d, (((((), tu), xu), xv)))
+                id_val = model.value("Id", d, (tu, xu, xv))
             except ModelBudget:
                 return Verdict("inconclusive", "identity value missing within depth")
             found = _el_values(model, d, id_val)

@@ -516,9 +516,9 @@ def _head_steps(sig, t, budget):
     stepped = _head_once(sig, t)
     if stepped is None:
         return t
-    budget[0] -= 1
     if budget[0] <= 0:
         raise NormalizationBudget(f"no normal form within {budget[1]} rewrite steps near {pretty(t)}")
+    budget[0] -= 1
     return _norm(sig, stepped, budget)
 
 
@@ -815,13 +815,12 @@ def print_signature(sig: Signature) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_term_text(sig: Signature, text: str, context_names=()):
-    """Parse a standalone term against a signature; names in
-    context_names resolve to variables (outermost first)."""
+def parse_term_text(sig: Signature, text: str):
+    """Parse a closed standalone term against a signature."""
     parser = _Parser(text)
     with parser.depth_guard():
         raw = parser.parse_term()
         if parser.peek()[0] != "eof":
             t = parser.peek()
             raise ParseError("trailing input after term", t[2], t[3])
-        return _Resolver(sig.decls).term(raw, list(context_names))
+        return _Resolver(sig.decls).term(raw, [])

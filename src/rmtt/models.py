@@ -112,51 +112,42 @@ class ModelData:
 # ---------------------------------------------------------------------------
 
 
-def env_list(env, n):
-    out = []
-    for _ in range(n):
-        env, v = env
-        out.append(v)
-    out.reverse()
-    return out
-
-
 def ctx_fiber(model: ModelData, ctx, c, partial=False):
-    """Environments for the context at stage c, as nested pairs.  An
-    environment branch that falls outside a truncated model's depth
-    raises ModelBudget, or with partial is skipped."""
-    if not ctx:
-        return [()]
-    out = []
-    for env in ctx_fiber(model, ctx[:-1], c, partial):
-        try:
-            vals = eval_type_fiber(model, ctx[:-1], ctx[-1], c, env)
-        except ModelBudget:
-            if partial:
-                continue
-            raise
-        out.extend((env, v) for v in vals)
+    """Environments for the context at stage c, each a tuple of values,
+    outermost first.  An environment branch that falls outside a
+    truncated model's depth raises ModelBudget, or with partial is
+    skipped."""
+    out = [()]
+    for k, ty in enumerate(ctx):
+        longer = []
+        for env in out:
+            try:
+                vals = eval_type_fiber(model, ctx[:k], ty, c, env)
+            except ModelBudget:
+                if partial:
+                    continue
+                raise
+            longer.extend(env + (v,) for v in vals)
+        out = longer
     return out
 
 
 def ctx_act(model: ModelData, ctx, u, env):
     """Transport an environment along a base arrow u : d -> c."""
-    if not ctx:
-        return ()
-    prev, v = env
-    prev2 = ctx_act(model, ctx[:-1], u, prev)
-    v2 = eval_type_act(model, ctx[:-1], ctx[-1], u, prev, v)
-    return (prev2, v2)
+    out = ()
+    for k, ty in enumerate(ctx):
+        out += (eval_type_act(model, ctx[:k], ty, u, env[:k], env[k]),)
+    return out
 
 
 def eval_subst(model, ctx, terms, c, env):
-    """Evaluate each term over ctx at (c, env) into a nested-pair
-    environment: the value of a substitution, or of a spine of
+    """Evaluate each term over ctx at (c, env) into an environment, one
+    value per term: the value of a substitution, or of a spine of
     telescope arguments.  Every substitution the package evaluates in a
     model goes through here."""
     te = ()
     for t in terms:
-        te = (te, eval_term(model, ctx, t, c, env))
+        te += (eval_term(model, ctx, t, c, env),)
     return te
 
 
@@ -194,7 +185,7 @@ def _generic_extension(model, ctx, dom, c, env):
         raise ModelError(f"sort {dom.head!r} has no comprehension data")
     te = eval_subst(model, ctx, dom.args, c, env)
     obj, proj, gen = _comprehension(si, c, te)
-    return si, te, obj, (ctx_act(model, ctx, proj, env), gen)
+    return si, te, obj, ctx_act(model, ctx, proj, env) + (gen,)
 
 
 def eval_type_act(model: ModelData, ctx, ty, u, env, v):
@@ -217,8 +208,7 @@ def eval_term(model: ModelData, ctx, t, c, env):
     sig = model.sig
     t = normalize(sig, t)
     if isinstance(t, Var):
-        vals = env_list(env, len(ctx))
-        return vals[len(ctx) - 1 - t.index]
+        return env[len(ctx) - 1 - t.index]
     if isinstance(t, Const):
         te = eval_subst(model, ctx, t.args, c, env)
         return model.value(t.head, c, te)
@@ -398,11 +388,11 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
     fam_el = PshMap(
         cls.omega_pt,
         tele_el,
-        {c: {s: ((), t.components[c][s]) for s in cls.omega_pt.fibers[c]} for c in base.objects},
+        {c: {s: (t.components[c][s],) for s in cls.omega_pt.fibers[c]} for c in base.objects},
     )
     el_witness = ComprehensionWitness(
         fam_el,
-        {(c, ((), y)): w.data[(c, y)] for (c, y) in w.data},
+        {(c, (y,)): w.data[(c, y)] for (c, y) in w.data},
     )
     model.sorts["El"] = SortInterp(el_decl, tele_el, cls.omega_pt, fam_el, el_witness)
 
@@ -412,7 +402,6 @@ def classifier_model(sig: Signature, base: FiniteCategory, constants=None, class
         if s is None:
             raise ModelError(f"base carries no {kind} structure for its classifier")
         structures[kind] = s
-    model.extras["structures"] = structures
     model.extras["classifier"] = cls
 
     # the inverse of each verified pullback square's comparison map
@@ -448,8 +437,7 @@ def _structure_value_table(model, decl, structures, inverses):
     name = decl.name
 
     for c in base.objects:
-        for te in tele_psh.fibers[c]:
-            args = env_list(te, len(decl.telescope))
+        for args in tele_psh.fibers[c]:
             if name == "Unit":
                 v = structures["Unit"].bottom.components[c][()]
             elif name == "tt":
@@ -497,7 +485,7 @@ def _structure_value_table(model, decl, structures, inverses):
                 v = structures["Id"].top.components[c][f]
             else:
                 raise ModelError(f"unknown structure constant {name!r}")
-            table[(c, te)] = v
+            table[(c, args)] = v
     return table
 
 
@@ -724,7 +712,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
         for c in base.objects:
             elems = []
             for te in tele_obj.fibers[c]:
-                args = tuple(raw[1] for raw in env_list(te, len(d.telescope)))
+                args = tuple(raw[1] for raw in te)
                 want = instance[(c, te)] = normalize(sig, SortApp(d.name, args))
                 elems.extend((te, t) for t in enumerate_terms(sig, ctxs[index_of[c]], want, term_size))
             fibers[c] = elems
@@ -746,10 +734,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                     if x in image:
                         continue
                     te, t = x
-                    y = image[x] = (
-                        ctx_act(model, d.telescope, aid, te) if d.telescope else (),
-                        apply_subst(sig, sub, t),
-                    )
+                    y = image[x] = (ctx_act(model, d.telescope, aid, te), apply_subst(sig, sub, t))
                     if y not in members[obj_ids[i]]:
                         fibers[obj_ids[i]].append(y)
                         members[obj_ids[i]].add(y)
@@ -768,7 +753,7 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
                 if hit is None:
                     continue
                 j, proj_aid, gen_term = hit
-                gen = (ctx_act(model, d.telescope, proj_aid, te) if d.telescope else (), gen_term)
+                gen = (ctx_act(model, d.telescope, proj_aid, te), gen_term)
                 if gen in members[obj_ids[j]]:
                     data[(c, te)] = (obj_ids[j], proj_aid, gen)
             witness = ComprehensionWitness(family, data)
@@ -792,12 +777,11 @@ def initial_model(sig: Signature, depth, type_size=5, subst_size=None, term_size
 
 
 def _te_to_terms(model: ModelData, tele, te, ctx_index):
-    """Recover syntactic arguments from a telescope environment of the
+    """Recover syntactic arguments from a telescope instance of the
     syntactic model."""
-    raws = env_list(te, len(tele))
     out = []
-    for k, ty in enumerate(tele):
-        out.append(_raw_to_term(model, apply_subst(model.sig, out, ty), raws[k], ctx_index))
+    for ty, raw in zip(tele, te):
+        out.append(_raw_to_term(model, apply_subst(model.sig, out, ty), raw, ctx_index))
     return out
 
 
@@ -829,7 +813,7 @@ def _term_to_raw(model: ModelData, ctx_index, t, ty):
         args_sofar = []
         for k, tel_ty in enumerate(si.tele_ctx):
             want = apply_subst(sig, args_sofar, tel_ty)
-            te = (te, _term_to_raw(model, ctx_index, ty.args[k], want))
+            te += (_term_to_raw(model, ctx_index, ty.args[k], want),)
             args_sofar.append(ty.args[k])
         elem = (te, normalize(sig, t))
         obj = f"G{ctx_index}"
@@ -896,19 +880,12 @@ def map_value(m: ModelMorphism, ctx, ty, c, env, v):
 
 
 def map_env(m: ModelMorphism, tele_ctx, c, te):
-    """Map a telescope environment entrywise, products included."""
-    raws = env_list(te, len(tele_ctx))
+    """Map a telescope instance entry by entry, products included; each
+    entry maps over the prefix of the instance before it."""
     out = ()
-    for k, (ty, v) in enumerate(zip(tele_ctx, raws)):
-        out = (out, map_value(m, tuple(tele_ctx[:k]), ty, c, te_prefix(te, len(tele_ctx), k), v))
+    for k, ty in enumerate(tele_ctx):
+        out += (map_value(m, tele_ctx[:k], ty, c, te[:k], te[k]),)
     return out
-
-
-def te_prefix(te, n, k):
-    """The first k entries of an n-entry environment."""
-    for _ in range(n - k):
-        te = te[0]
-    return te
 
 
 def compose_model_morphisms(m1: ModelMorphism, m2: ModelMorphism) -> ModelMorphism:
@@ -1250,11 +1227,21 @@ def _psh_to_doc(p: Presheaf):
     }
 
 
-def _psh_from_doc(base, doc):
+def _keyed(what, pairs):
+    """The dict of (key, value) pairs.  A key may not repeat, since a
+    later row would silently replace an earlier one."""
+    pairs = list(pairs)
+    out = dict(pairs)
+    require_shape("model", {what: len(out) == len(pairs)})
+    return out
+
+
+def _psh_from_doc(base, doc, what):
     fibers = {o: tuple(_dec(x) for x in doc["fibers"][str(o)]) for o in base.objects}
     require_distinct_fibers(fibers)
     action = {
-        a: {_dec(y): _dec(x) for y, x in doc["action"][str(a)]} for a in base.arrow_ids
+        a: _keyed(f"{what} action rows", ((_dec(y), _dec(x)) for y, x in doc["action"][str(a)]))
+        for a in base.arrow_ids
     }
     return Presheaf(base, fibers, action)
 
@@ -1344,7 +1331,9 @@ def _witness_rows_ok(base, witness) -> bool:
 def model_from_json(doc: dict) -> ModelData:
     """Raises ValueError when doc does not have the shape model_to_json
     writes, element ids, kernel expressions and witness rows included,
-    or when a sort's `rep` or `tele` differs from its declaration."""
+    when a sort's `rep` or `tele` differs from its declaration, when a
+    term row names a stage outside the base, or when two rows of one
+    table share a key."""
     from .kernel.check import parse_signature
     from .kernel.terms import expr_from_data
 
@@ -1368,24 +1357,21 @@ def model_from_json(doc: dict) -> ModelData:
         decl = sig.decls[name]
         require_shape("model", {f"{name} rep": sdoc.get("rep") is decl.is_rep_sort,
                                 f"{name} tele": tuple(map(expr_from_data, sdoc["tele"])) == decl.telescope})
-        total = _psh_from_doc(base, sdoc["total"])
-        tele_obj = _psh_from_doc(base, sdoc["tele_obj"])
+        total = _psh_from_doc(base, sdoc["total"], f"{name} total")
+        tele_obj = _psh_from_doc(base, sdoc["tele_obj"], f"{name} tele_obj")
         family = PshMap(
             total,
             tele_obj,
-            {c: {_dec(x): _dec(te) for x, te in sdoc["family"][str(c)]} for c in base.objects},
+            {c: _keyed(f"{name} family rows", ((_dec(x), _dec(te)) for x, te in sdoc["family"][str(c)]))
+             for c in base.objects},
         )
         witness = None
         if sdoc["witness"] is not None:
-            witness = ComprehensionWitness(
-                family,
-                {
-                    (c, _dec(te)): (obj, proj, _dec(gen))
-                    for c, te, obj, proj, gen in sdoc["witness"]
-                },
-            )
+            witness = ComprehensionWitness(family, _keyed(f"{name} witness rows", (
+                ((c, _dec(te)), (obj, proj, _dec(gen))) for c, te, obj, proj, gen in sdoc["witness"])))
             require_shape("model", {f"{name} witness rows": _witness_rows_ok(base, witness)})
         model.sorts[name] = SortInterp(decl, tele_obj, total, family, witness)
     for name, rows in doc["terms"].items():
-        model.term_values[name] = {(c, _dec(te)): _dec(v) for c, te, v in rows}
+        require_shape("model", {f"{name} term rows": all(c in base.objects for c, _, _ in rows)})
+        model.term_values[name] = _keyed(f"{name} term rows", (((c, _dec(te)), _dec(v)) for c, te, v in rows))
     return model

@@ -1008,10 +1008,7 @@ def _pullback_along_element(f: PshMap, c, y) -> PshMap:
 @dataclass
 class UnivalenceResult:
     ok: bool
-    # when ok: per object, the list of distinct element pairs certified
-    # non-isomorphic; when not ok: the collision (c, y1, y2, iso components)
-    table: dict = None
-    collision: tuple = None
+    collision: tuple = None  # when not ok: (c, y1, y2, iso components)
 
     def __bool__(self):
         return self.ok
@@ -1031,9 +1028,7 @@ def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=None) -> Uni
         wf = require_witness(f, "univalence is defined for representable maps")
     base = f.base
     B = f.target
-    table = {}
     for c in base.objects:
-        checked = []
         ys = B.fibers[c]
         for i, y1 in enumerate(ys):
             for y2 in ys[i + 1 :]:
@@ -1046,6 +1041,4 @@ def is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=None) -> Uni
                             "have isomorphic projections but no isomorphic pullbacks"
                         )
                     return UnivalenceResult(False, collision=(c, y1, y2, iso.components))
-                checked.append((y1, y2))
-        table[c] = checked
-    return UnivalenceResult(True, table=table)
+    return UnivalenceResult(True)

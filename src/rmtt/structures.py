@@ -66,7 +66,6 @@ class TypeStructure:
 
 @dataclass
 class StructureReport:
-    univalent: bool
     verdicts: dict = field(default_factory=dict)
     # kind -> {"found": TypeStructure|None, "closure": bool, "agree": bool}
 
@@ -368,7 +367,7 @@ def structure_criteria(typeof: PshMap, w: ComprehensionWitness = None, kinds=("U
             f"structure criteria require a univalent map: {y1!r} and {y2!r} "
             f"at {c!r} classify isomorphic maps"
         )
-    report = StructureReport(univalent=True)
+    report = StructureReport()
     for kind in kinds:
         try:
             classify(_generic_instance(typeof, w, kind), (typeof, w), budget=budget)

@@ -357,6 +357,56 @@ def test_model_witness_rows_checked(initial_model_doc, command, mutate, tmp_path
     assert json.loads(out.read_text())["result"]["error"].endswith("bad El witness rows")
 
 
+def _same_stage_rows(rows):
+    """Two rows of a term table at one stage."""
+    return next((r1, r2) for k, r1 in enumerate(rows) for r2 in rows[k + 1:] if r1[0] == r2[0])
+
+
+def _term_row_at_unknown_stage(doc):
+    row = copy.deepcopy(doc["terms"]["Id"][0])
+    row[0] = "NOPE"
+    doc["terms"]["Id"].append(row)
+
+
+def _term_row_key_repeated(doc):
+    # the key of one row with the value of another, ahead of both
+    r1, r2 = _same_stage_rows(doc["terms"]["Id"])
+    doc["terms"]["Id"].insert(0, [r1[0], r1[1], r2[2]])
+
+
+def _family_row_key_repeated(doc):
+    rows = next(rows for rows in doc["sorts"]["El"]["family"].values() if len(rows) > 1)
+    rows.insert(0, [rows[0][0], rows[1][1]])
+
+
+def _action_row_key_repeated(doc):
+    rows = next(rows for rows in doc["sorts"]["El"]["total"]["action"].values() if len(rows) > 1)
+    rows.insert(0, [rows[0][0], rows[1][1]])
+
+
+def _witness_row_key_repeated(doc):
+    rows = doc["sorts"]["El"]["witness"]
+    rows.insert(0, rows[0][:2] + rows[-1][2:])
+
+
+@pytest.mark.parametrize("mutate,field", [(_term_row_at_unknown_stage, "Id term rows"),
+                                          (_term_row_key_repeated, "Id term rows"),
+                                          (_family_row_key_repeated, "El family rows"),
+                                          (_action_row_key_repeated, "El total action rows"),
+                                          (_witness_row_key_repeated, "El witness rows")])
+@pytest.mark.parametrize("command", ["check-model", "heart", "il"])
+def test_model_rows_name_known_stages_and_distinct_keys(initial_model_doc, command, mutate, field, tmp_path):
+    """A term row must name a stage of the base, and no two rows of one
+    table may share a key: loading would keep only the last of them."""
+    doc = copy.deepcopy(initial_model_doc)
+    mutate(doc)
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    _expect_malformed(run_cli(command, str(model), "--out", str(out)), out, "model")
+    assert json.loads(out.read_text())["result"]["error"].endswith(f"bad {field}")
+
+
 def _el_not_representable(doc):
     doc["sorts"]["El"]["rep"] = False
     doc["sorts"]["El"]["witness"] = None

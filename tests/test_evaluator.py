@@ -57,7 +57,7 @@ def reference_criterion_6(seed=0, depth=2, type_size=4, term_size=4, sm_depth=1,
             def env_of(B, s):
                 env = ()
                 for k, t in enumerate(s):
-                    env = (env, eval_term(sm, B[:k], close(t), sm.terminal, env))
+                    env += (eval_term(sm, B[:k], close(t), sm.terminal, env),)
                 return env
 
             pshs = {B: interpret_context(sm, B) for B in ctxs}
@@ -81,7 +81,7 @@ def reference_criterion_6(seed=0, depth=2, type_size=4, term_size=4, sm_depth=1,
                             syntactic = env_of(B2, composed)
                             semantic = ()
                             for t2 in tau:
-                                semantic = (semantic, eval_term(sm, B, t2, sm.terminal, env))
+                                semantic += (eval_term(sm, B, t2, sm.terminal, env),)
                             if syntactic != semantic:
                                 failures.append((name, "action", str(B2)[:40]))
                                 break
@@ -108,7 +108,7 @@ def test_substitution_values_match_reference(name):
         def env_of(B, s):
             env = ()
             for k, t in enumerate(s):
-                env = (env, eval_term(sm, B[:k], close(t), sm.terminal, env))
+                env += (eval_term(sm, B[:k], close(t), sm.terminal, env),)
             return env
 
         def new_env_of(s):
@@ -128,7 +128,7 @@ def test_substitution_values_match_reference(name):
                         assert new_env_of(composed) == env_of(B2, composed)
                         semantic = ()
                         for t2 in tau:
-                            semantic = (semantic, eval_term(sm, B, t2, sm.terminal, env))
+                            semantic += (eval_term(sm, B, t2, sm.terminal, env),)
                         assert eval_subst(sm, B, tau, sm.terminal, env) == semantic
                         actions_checked += 1
     assert homs_checked and actions_checked

@@ -46,7 +46,6 @@ from rmtt.models import (
     _term_to_raw,
     _weakening_subst,
     ctx_act,
-    env_list,
     eval_type_fiber,
     initial_model,
     interpret_context,
@@ -146,7 +145,7 @@ def reference_ctx_fiber_partial(model, ctx, c):
         except ModelBudget:
             continue
         for v in vals:
-            out.append((env, v))
+            out.append(env + (v,))
     return out
 
 
@@ -229,7 +228,7 @@ def reference_initial_model(sig, depth, type_size=5, subst_size=None, term_size=
             i = index_of[c]
             elems = []
             for te in tele_obj.fibers[c]:
-                args = tuple(raw[1] for raw in env_list(te, len(d.telescope)))
+                args = tuple(raw[1] for raw in te)
                 want = normalize(sig, SortApp(d.name, args))
                 for t in enumerate_terms(sig, ctxs[i], want, term_size):
                     elems.append((te, t))
@@ -274,7 +273,7 @@ def reference_initial_model(sig, depth, type_size=5, subst_size=None, term_size=
             for c in base.objects:
                 i = index_of[c]
                 for te in tele_obj.fibers[c]:
-                    args = tuple(raw[1] for raw in env_list(te, len(d.telescope)))
+                    args = tuple(raw[1] for raw in te)
                     ty = normalize(sig, SortApp(d.name, args))
                     hit = ext.get((i, ty))
                     if hit is None:

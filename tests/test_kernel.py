@@ -132,6 +132,20 @@ def test_fuel_exhaustion_reported():
         normalize(sig, Const("loop", (Const("c"),)), fuel=50)
 
 
+@pytest.mark.parametrize("fuel,reaches", [(0, False), (1, True), (2, True)])
+def test_fuel_counts_rewrite_steps(fuel, reaches):
+    """fuel=N allows exactly N rewrite steps.  The first projection of a
+    pair is one rule step from its normal form; each case parses its own
+    signature, so no normal form is cached from an earlier call."""
+    sig = parse_signature(shipped_signature_text("itth"))
+    t = parse_term_text(sig, "fst(Unit, \\(x : El(Unit)) => Unit, pair(Unit, \\(x : El(Unit)) => Unit, tt, tt))")
+    if reaches:
+        assert normalize(sig, t, fuel=fuel) == Const("tt")
+    else:
+        with pytest.raises(NormalizationBudget, match="within 0 rewrite steps"):
+            normalize(sig, t, fuel=fuel)
+
+
 def test_pi_domain_restricted_to_representable_sorts():
     text = "T : sort\nbad : (F : (x : T) -> T) -> T\n"
     rep = check_signature(text)

@@ -10,6 +10,7 @@ from rmtt.models import (
     classifier_model,
     compose_model_morphisms,
     contextual_objects,
+    ctx_fiber,
     enumerate_model_morphisms,
     heart,
     heart_inclusion,
@@ -284,3 +285,40 @@ def test_il_conservativity_on_democratic_models(tthg):
         for n in ident.components
         for c in im.base.objects
     )
+
+
+@pytest.mark.parametrize("build", ["classifier", "initial"])
+def test_environments_are_flat_tuples(itth, d1, build):
+    """An environment of a context of length n, and so a telescope
+    instance, is the n-tuple of its values, outermost first."""
+    m = classifier_model(itth, d1) if build == "classifier" else initial_model(itth, 1, type_size=4, term_size=4)
+    for si in m.sorts.values():
+        n = len(si.tele_ctx)
+        assert all(len(te) == n for c in m.base.objects for te in si.tele_obj.fibers[c])
+        if si.witness is not None:
+            assert all(len(te) == n for _, te in si.witness.data)
+    for d in itth.term_decls:
+        assert all(len(te) == len(d.telescope) for _, te in m.term_values[d.name])
+    for rule in itth.rules():
+        envs = [env for c in m.base.objects for env in ctx_fiber(m, rule.context, c, partial=True)]
+        assert all(len(env) == len(rule.context) for env in envs)
+
+
+def test_no_nested_pair_environments():
+    """No module of the package defines or reads `env_list` or
+    `te_prefix`, or builds a pair literal whose first entry is the empty
+    tuple: the nested-pair encoding of environments stays gone."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "rmtt"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("env_list", "te_prefix"):
+                offenders.append(f"{path.name}:{node.lineno}: {name}")
+            elif (isinstance(node, ast.Tuple) and len(node.elts) == 2
+                  and isinstance(node.elts[0], ast.Tuple) and not node.elts[0].elts):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders

@@ -19,7 +19,6 @@ from rmtt.models import (
     check_morphism,
     classifier_model,
     enumerate_model_morphisms,
-    env_list,
     heart_inclusion,
     initial_model,
     unique_morphism_from_initial,
@@ -33,12 +32,11 @@ BASES = {"terminal": terminal_category, "delta1": delta1,
 def map_te(m: ModelMorphism, tele_ctx, c, te):
     """Map a telescope environment through the morphism (telescope
     entries must be sort applications)."""
-    raws = env_list(te, len(tele_ctx))
     out = ()
-    for ty, v in zip(tele_ctx, raws):
+    for ty, v in zip(tele_ctx, te):
         if not isinstance(ty, SortApp):
             raise ModelError("cannot map a product-typed environment entry")
-        out = (out, m.on(ty.head, c, v))
+        out += (m.on(ty.head, c, v),)
     return out
 
 

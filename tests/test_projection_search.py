@@ -174,9 +174,7 @@ def reference_is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=20
             raise NotRepresentable("univalence is defined for representable maps")
     base = f.base
     B = f.target
-    table = {}
     for c in base.objects:
-        checked = []
         ys = B.fibers[c]
         qs = {}
         for y in ys:
@@ -192,9 +190,7 @@ def reference_is_univalent(f: PshMap, wf: ComprehensionWitness = None, budget=20
                 iso = find_iso_over(qs[y1], qs[y2], budget=fresh(budget))
                 if iso is not None:
                     return UnivalenceResult(False, collision=(c, y1, y2, iso.components))
-                checked.append((y1, y2))
-        table[c] = checked
-    return UnivalenceResult(True, table=table)
+    return UnivalenceResult(True)
 
 
 # ---------------------------------------------------------------------------
